@@ -1,14 +1,14 @@
-"""Fan a scenario across the three platoon presets and tabulate the
-spacing deviations, steady-state errors and solve times.
+"""Run a scenario on each of the three platoon presets in turn and
+tabulate the spacing deviations, steady-state errors and solve times.
 
-Artifacts land in one directory per run; PLATOON_MPC_THREADS caps the
-worker count.
+The runs go one after another; artifacts land in one directory per run,
+<out>/<platoon>_s<scenario>_p<horizon>.
 """
 
 import argparse
 from pathlib import Path
 
-from platoon_mpc.cli import RunSpec, run_many
+from platoon_mpc.cli import RunSpec, run_spec
 from platoon_mpc.presets import PLATOON_NAMES
 
 
@@ -26,7 +26,7 @@ def main():
                      out=str(Path(args.out)
                              / f"{name}_s{args.scenario}_p{args.horizon}"))
              for name in PLATOON_NAMES]
-    results = run_many(specs)
+    results = [run_spec(s) for s in specs]
 
     head = (f"{'platoon':<8} {'max |z|':>9} {'first gap':>10} "
             f"{'|z_ss|':>8} {'med solve':>10}")

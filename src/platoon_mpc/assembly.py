@@ -215,8 +215,6 @@ class DecomposedModel:
     spans: list[tuple[int, int]]
     W_hat: list[np.ndarray]
     Psi_hat: list[np.ndarray]
-    mix_w: float = 0.0
-    mix_psi: float = 0.0
 
 
 def _block(mat: np.ndarray, p: int, i: int, j: int) -> np.ndarray:
@@ -314,12 +312,12 @@ def _min_eig(blocks: list[np.ndarray]) -> float:
 
 
 def _psd_split(mat: np.ndarray, n: int, p: int,
-               floor: float = -1e-11) -> tuple[list[np.ndarray], float]:
+               floor: float = -1e-11) -> list[np.ndarray]:
     """Proportional split when it is already PSD; otherwise bisect toward
     the natural split until every block passes the eigenvalue floor."""
     prop = _proportional_split(mat, n, p)
     if _min_eig(prop) >= floor:
-        return prop, 0.0
+        return prop
     nat = _natural_split(mat, n, p)
 
     def mix(t):
@@ -334,16 +332,14 @@ def _psd_split(mat: np.ndarray, n: int, p: int,
             lo_t = mid
     blocks = mix(hi_t)
     if _min_eig(blocks) < floor:
-        blocks, hi_t = nat, 1.0
-    return blocks, hi_t
+        return nat
+    return blocks
 
 
 def decompose_model(model: QuadraticModel) -> DecomposedModel:
     n, p = model.n, model.p
-    w_blocks, mix_w = _psd_split(model.W, n, p)
-    psi_blocks, mix_psi = _psd_split(model.Psi, n, p)
-    return DecomposedModel(n, p, _spans(n), w_blocks, psi_blocks,
-                           mix_w, mix_psi)
+    return DecomposedModel(n, p, _spans(n), _psd_split(model.W, n, p),
+                           _psd_split(model.Psi, n, p))
 
 
 def decomposition_residual(model: QuadraticModel,

@@ -6,9 +6,7 @@ centralized reference solve."""
 from __future__ import annotations
 
 import json
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -136,8 +134,8 @@ def summarize(record: SimRecord, config: PlatoonConfig, spec: RunSpec) -> dict:
 _DIAG_FIELDS = ("p", "outer_iters", "inner_iters", "lin_rounds",
                 "warm_rounds", "prox_calls", "messages", "outer_step",
                 "inner_residual", "stationarity", "consensus_gap",
-                "violation", "guard_rounds", "frozen", "converged",
-                "feasible", "wall_time")
+                "violation", "guard_rounds", "capped_runs", "frozen",
+                "converged", "feasible", "wall_time")
 
 
 def write_artifacts(out: Path, record: SimRecord, summary: dict) -> None:
@@ -198,21 +196,6 @@ def run_spec(spec: RunSpec) -> dict:
     if spec.out:
         write_artifacts(Path(spec.out), record, summary)
     return summary
-
-
-def worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("PLATOON_MPC_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(n_jobs, limit))
-
-
-def run_many(specs: list[RunSpec]) -> list[dict]:
-    """Independent runs fanned out across a bounded thread pool; each run
-    stays deterministic on its own."""
-    if len(specs) <= 1 or worker_count(len(specs)) == 1:
-        return [run_spec(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=worker_count(len(specs))) as pool:
-        return list(pool.map(run_spec, specs))
 
 
 def _spec_from(platoon, scenario, horizon, steps, leader_csv, out,

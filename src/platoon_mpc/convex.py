@@ -396,25 +396,3 @@ def box_prox(hdiag: np.ndarray, lin: np.ndarray, lo: np.ndarray,
              hi: np.ndarray) -> np.ndarray:
     """Coordinatewise minimizer of 1/2 h y^2 + lin y over the box."""
     return np.clip(-lin / hdiag, lo, hi)
-
-
-def project_consensus(layout: list, arrays: list, p: int):
-    """Average the per-vehicle copies held by the agents.  layout[a] lists
-    the (1-based) vehicle ids whose control sequences agent a stores, in
-    ascending order; arrays[a] concatenates those length-p sequences.
-    Returns the averaged copies plus the per-vehicle means."""
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for blocks, arr in zip(layout, arrays):
-        for slot, j in enumerate(blocks):
-            seg = arr[slot * p:(slot + 1) * p]
-            if j in sums:
-                sums[j] = sums[j] + seg
-                counts[j] += 1
-            else:
-                sums[j] = seg.copy()
-                counts[j] = 1
-    means = {j: sums[j] / counts[j] for j in sums}
-    out = [np.concatenate([means[j] for j in blocks]) if blocks
-           else np.zeros(0) for blocks in layout]
-    return out, means

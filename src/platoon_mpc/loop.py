@@ -65,7 +65,6 @@ class ClosedLoopMatrices:
     B_breve: np.ndarray | None = None
     D: np.ndarray | None = None
     Delta_A: np.ndarray | None = None
-    Delta_A_bar: np.ndarray | None = None
     A_c_direct: np.ndarray | None = None
 
 
@@ -173,7 +172,6 @@ def build_closed_loop(config: PlatoonConfig,
         out.W_hat = np.diag(w_hat)
         out.B_breve = B @ np.diag(1.0 - w_hat * (tau ** 2 / 4.0 * qz[0]
                                                  + qzp[0]))
-        out.Delta_A_bar = out.B_breve @ np.hstack([np.zeros((n, n)), D])
         wq = w_hat * qz[0]
         wzp = w_hat * qzp[0]
         out.A_c_direct = np.block([

@@ -47,6 +47,20 @@ RHO_METRIC = 0.04
 # rounds over which a stage of the convergent scheme measures its
 # contraction rate
 RATE_WINDOW = 10
+# round tolerance of the loss-free warm start, and the violation of the
+# true rows its plan may keep
+LIN_TOL = 1e-5
+GUARD_TOL = 1e-8
+# safety rows couple neighbouring blocks, so the assembled plan can sit a
+# consensus gap away from each owner's feasible prox point; every retry
+# tightens the round tolerance tenfold until the gap is immaterial
+GUARD_RETRIES = 6
+# round tolerance of the box-only warm-up of a calibrated stage
+WARM_TOL = 1e-7
+# an agent whose iterate moves by at most FREEZE_STEP in FREEZE_ROUNDS
+# consecutive outer iterations collapses to its current point
+FREEZE_STEP = 1e-9
+FREEZE_ROUNDS = 2
 
 
 class LocalityError(RuntimeError):
@@ -60,28 +74,18 @@ class WarmStartError(RuntimeError):
 @dataclass
 class SolverConfig:
     """Knobs of the splitting scheme.  Tolerances default to the per-p
-    tables above; lip_factor scales the constraint-row majorants and nu
-    the cost majorant (1.0 makes both provably global for the row
-    curvatures at hand, smaller trades margin for speed)."""
+    tables above; lip_factor scales the constraint-row majorants and the
+    NU table the cost majorant (1.0 makes both provably global for the
+    row curvatures at hand, smaller trades margin for speed)."""
 
     alpha: float = 0.9
     rho: float = 0.1
     tol_outer: float | None = None
     tol_inner: float | None = None
-    lin_tol: float = 1e-5
-    warm_tol: float = 1e-7
     max_outer: int = 60
     max_inner: int = 500
     lip_factor: float = 0.9
-    nu: float | None = None
-    freeze_step: float = 1e-9
-    freeze_rounds: int = 2
-    guard_tol: float = 1e-8
     feas_tol: float = 1e-6
-    # safety rows couple neighbouring blocks, so the assembled plan can sit a
-    # consensus gap away from each owner's feasible prox point; every retry
-    # tightens the round tolerance tenfold until the gap is immaterial
-    guard_retries: int = 6
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -96,7 +100,7 @@ class SolverConfig:
         return self.tol_inner if self.tol_inner is not None else INNER_TOL[p]
 
     def nu_for(self, p: int) -> float:
-        return self.nu if self.nu is not None else NU.get(p, 0.9)
+        return NU.get(p, 0.9)
 
     @property
     def convergent(self) -> bool:
@@ -171,12 +175,8 @@ class AgentState:
     olo: np.ndarray = None
     ohi: np.ndarray = None
     problem: ConvexQcqp | None = None
-    prox_lin: np.ndarray | None = None
-    prox_curv: float = 0.0
     grad_J: np.ndarray | None = None
     L_J: float = 0.0
-    row_grads: list | None = None
-    L_rows: list | None = None
     warm: QcqpResult | None = None
     metric: np.ndarray | None = None
     carry_z: np.ndarray | None = None
@@ -273,12 +273,11 @@ def _prev_of(config: PlatoonConfig, i: int) -> VehicleParams:
     return config.leader if i == 1 else config.vehicles[i - 2]
 
 
-def _tracking(sh: SharedContext, i: int):
+def _tracking(config: PlatoonConfig, state: PlatoonState, i: int):
     """State pieces entering vehicle i's constraint rows."""
-    st = sh.state
-    z = st.spacing_error(sh.config.gap)
-    zp = st.rel_speed()
-    return (float(st.v[i]), float(st.v[i - 1]), float(z[i - 1]),
+    z = state.spacing_error(config.gap)
+    zp = state.rel_speed()
+    return (float(state.v[i]), float(state.v[i - 1]), float(z[i - 1]),
             float(zp[i - 1]))
 
 
@@ -327,8 +326,8 @@ def _agent_prox(a: AgentState, anchor: np.ndarray,
     rho = options.rho if a.metric is None else RHO_METRIC
     try:
         if a.problem is None:
-            lin = a.prox_lin if a.prox_lin is not None else np.zeros(a.dim)
-            y = box_prox(np.full(a.dim, a.prox_curv + 1.0 / rho),
+            lin = a.grad_J if a.grad_J is not None else np.zeros(a.dim)
+            y = box_prox(np.full(a.dim, a.L_J + 1.0 / rho),
                          lin - anchor / rho, a.olo, a.ohi)
         else:
             res = qcqp_prox(a.problem, anchor, rho, warm=a.warm,
@@ -409,8 +408,6 @@ def _begin_stage(agents: list[AgentState], base_by_block: dict | None,
             a.z = a.z + old_base - a.base
         elif seed == "carry" and a.carry_z is not None:
             a.z = a.carry_z.copy()
-        elif seed == "keep":
-            pass
         else:
             a.z = np.zeros(a.dim)
         a.w = None
@@ -496,32 +493,98 @@ def _embed(dim: int, pos_vecs: list[tuple[slice, np.ndarray]]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# per-vehicle constraint rows
+#
+# Vehicle i's speed and safety rows involve only its own controls and its
+# predecessor's.  The builders return them over the (predecessor, own)
+# blocks, the own block alone for the first vehicle, whose predecessor is
+# the leader; _place writes them into an agent's local vector or into the
+# whole platoon's, so the split and the unsplit problems share the rows.
+
+def _losses(config: PlatoonConfig, state: PlatoonState,
+            vehicles) -> np.ndarray:
+    """Drag and rolling losses of the listed (1-based) vehicles at their
+    measured speeds."""
+    return np.array([config.vehicles[j - 1].drag * state.v[j] ** 2
+                     + config.vehicles[j - 1].roll * GRAVITY
+                     for j in vehicles])
+
+
+def _one_step_rows(config: PlatoonConfig, state: PlatoonState,
+                   struct: StructuralMatrices, i: int) -> list:
+    """Speed band and safety row of vehicle i at the one-step horizon,
+    which is exactly quadratic: drag is charged at the measured speed and
+    the safety row is expanded around u = 0."""
+    tau = config.tau
+    par = config.vehicles[i - 1]
+    prev = _prev_of(config, i)
+    v, v_prev, z, zp = _tracking(config, state, i)
+    e_own = float(_losses(config, state, [i])[0])
+    width = 2 if i > 1 else 1
+    up = np.zeros(width)
+    up[-1] = tau
+    u_prev0 = np.array([state.u0]) if i == 1 else np.zeros(1)
+    h0, g_own0, g_prev0 = safety_constraint_fn(
+        config, par, prev, v, v_prev, z, zp, np.zeros(1), u_prev0, struct)
+    own_h, _ = safety_constraint_hessians(config, par, prev, v, np.zeros(1),
+                                          struct)
+    A = np.zeros((width, width))
+    A[-1, -1] = own_h[0, 0, 0]
+    b = np.zeros(width)
+    b[-1] = g_own0[0, 0]
+    if i > 1:
+        b[0] = g_prev0[0, 0]
+    return [(np.zeros((width, width)), -up,
+             config.speed_min - v + tau * e_own),
+            (np.zeros((width, width)), up,
+             v - tau * e_own - config.speed_max),
+            (A, b, float(h0[0]))]
+
+
+def _restricted_rows(config: PlatoonConfig, state: PlatoonState,
+                     struct: StructuralMatrices, i: int, p: int) -> list:
+    """Inner convex restrictions of vehicle i's horizon rows: the
+    cumulative-control corridor of its speed band, then the convex safety
+    rows."""
+    v, v_prev, z, zp = _tracking(config, state, i)
+    rs = restricted_convex_sets(config, i, v, v_prev, z, zp, p, struct,
+                                u0=state.u0)
+    width = 2 * p if rs.includes_prev else p
+    s_p = np.tril(np.ones((p, p)))
+    rows = []
+    for j in range(p):
+        row = np.zeros(width)
+        row[-p:] = s_p[j]
+        rows.append((np.zeros((width, width)), -row, float(rs.cum_lo[j])))
+        rows.append((np.zeros((width, width)), row, -float(rs.cum_hi[j])))
+    return rows + [(A, b, float(c)) for A, b, c in rs.quads]
+
+
+def _place(rows: list, i: int, first: int, dim: int, p: int) -> list:
+    """Vehicle i's rows written into dim-vectors whose first block holds
+    vehicle `first` (1-based): an agent's local vector, or with first = 1
+    the whole platoon's."""
+    start = (max(i - 1, 1) - first) * p
+    out = []
+    for A, b, c in rows:
+        idx = slice(start, start + b.size)
+        Af = np.zeros((dim, dim))
+        Af[idx, idx] = A
+        bf = np.zeros(dim)
+        bf[idx] = b
+        out.append((Af, bf, c))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # warm start: loss-free cost over restricted convex sets
 
 def _linear_problem(a: AgentState) -> ConvexQcqp:
     sh = a.shared
-    p, dim = a.p, a.dim
-    own_sl = a.sl(a.own_pos)
-    w_hat = sh.dec.W_hat[a.i - 1]
-    q = _embed(dim, [(own_sl, sh.model.c_block(a.i))])
-    v, v_prev, z, zp = _tracking(sh, a.i)
-    rs = restricted_convex_sets(sh.config, a.i, v, v_prev, z, zp, p,
-                                sh.struct, u0=sh.state.u0)
-    s_p = np.tril(np.ones((p, p)))
-    quads = []
-    for j in range(p):
-        row = _embed(dim, [(own_sl, s_p[j])])
-        quads.append((np.zeros((dim, dim)), -row, float(rs.cum_lo[j])))
-        quads.append((np.zeros((dim, dim)), row, -float(rs.cum_hi[j])))
-    for A, b, c in rs.quads:
-        Af = np.zeros((dim, dim))
-        bf = np.zeros(dim)
-        first = a.own_pos - 1 if rs.includes_prev else a.own_pos
-        idx = np.arange(first * p, (a.own_pos + 1) * p)
-        Af[np.ix_(idx, idx)] = A
-        bf[idx] = b
-        quads.append((Af, bf, float(c)))
-    return ConvexQcqp(w_hat, q, a.lo, a.hi, quads)
+    q = _embed(a.dim, [(a.sl(a.own_pos), sh.model.c_block(a.i))])
+    rows = _restricted_rows(sh.config, sh.state, sh.struct, a.i, a.p)
+    return ConvexQcqp(sh.dec.W_hat[a.i - 1], q, a.lo, a.hi,
+                      _place(rows, a.i, a.span[0], a.dim, a.p))
 
 
 def warm_start_linear(agents: list[AgentState],
@@ -539,22 +602,26 @@ def warm_start_linear(agents: list[AgentState],
     for a in agents:
         a.problem = _linear_problem(a)
     _begin_stage(agents, None, seed="carry")
-    tol = options.lin_tol
+    tol = LIN_TOL
     full_trace = []
-    for attempt in range(options.guard_retries + 1):
-        trace, _ = _run_rounds(agents, options, net, tol, options.max_inner)
+    capped = 0
+    for attempt in range(GUARD_RETRIES + 1):
+        trace, conv = _run_rounds(agents, options, net, tol,
+                                  options.max_inner)
         full_trace += trace
+        capped += not conv
         plan = _collect_plan(agents)
         gap = plan_violation(sh.config, sh.state, plan, sh.struct)
-        if gap <= options.guard_tol:
+        if gap <= GUARD_TOL:
             break
-        if attempt == options.guard_retries:
+        if attempt == GUARD_RETRIES:
             raise WarmStartError(
                 f"restricted stage kept violation {gap:.2e} above "
-                f"{options.guard_tol:.0e} after {attempt + 1} attempts")
+                f"{GUARD_TOL:.0e} after {attempt + 1} attempts")
         tol /= 10.0
     if diag is not None:
         diag.lin_rounds = len(full_trace)
+        diag.capped_runs += capped
         diag.residual_trace["linear"] = [float(r) for r in full_trace]
     means = {j + 1: plan[j] for j in range(len(agents))}
     for a in agents:
@@ -580,7 +647,7 @@ def lipschitz_estimates(agents: list[AgentState],
         p = a.p
         par = sh.config.vehicles[a.i - 1]
         prev = _prev_of(sh.config, a.i)
-        v, _, _, _ = _tracking(sh, a.i)
+        v, _, _, _ = _tracking(sh.config, sh.state, a.i)
         u_by_block = [a.u_hat[a.sl(b)] for b in range(len(a.blocks))]
         hj = local_objective_hessian(sh.objectives[a.i - 1], u_by_block)
         l_obj = options.nu_for(p) * float(
@@ -603,7 +670,7 @@ def lipschitz_estimates(agents: list[AgentState],
             np.max(np.abs(np.linalg.eigvalsh(prev_h[j])))))
             for j in range(p)]
         out.append({"objective": l_obj, "speed_lower": speed_lo,
-                    "speed_upper": [0.0] * p, "safety": safety})
+                    "safety": safety})
     return out
 
 
@@ -628,7 +695,7 @@ def scp_step(agents: list[AgentState],
         own_sl = a.sl(a.own_pos)
         par = sh.config.vehicles[a.i - 1]
         prev = _prev_of(sh.config, a.i)
-        v, v_prev, z, zp = _tracking(sh, a.i)
+        v, v_prev, z, zp = _tracking(sh.config, sh.state, a.i)
         u_own = a.own(a.u_hat)
         u_prev = _prev_controls(a)
 
@@ -647,28 +714,20 @@ def scp_step(agents: list[AgentState],
         h, g_own, g_prev = safety_constraint_fn(
             sh.config, par, prev, v, v_prev, z, zp, u_own, u_prev, sh.struct)
         quads = []
-        grads_rows = []
         for j in range(p):
             b = _embed(dim, [(own_sl, -q_grad[j])])
             quads.append((lp["speed_lower"][j] * np.eye(dim), b,
                           float(sh.config.speed_min - q[j])))
-            grads_rows.append(b)
         for j in range(p):
             b = _embed(dim, [(own_sl, q_grad[j])])
             quads.append((np.zeros((dim, dim)), b,
                           float(q[j] - sh.config.speed_max)))
-            grads_rows.append(b)
         for j in range(p):
             parts = [(own_sl, g_own[j])]
             if a.i > 1:
                 parts.append((a.sl(a.own_pos - 1), g_prev[j]))
             b = _embed(dim, parts)
             quads.append((lp["safety"][j] * np.eye(dim), b, float(h[j])))
-            grads_rows.append(b)
-        a.row_grads = grads_rows
-        a.L_rows = lp["speed_lower"] + lp["speed_upper"] + lp["safety"]
-        a.prox_lin = a.grad_J
-        a.prox_curv = a.L_J
         a.problem = ConvexQcqp(model, a.grad_J.copy(),
                                a.lo - a.u_hat, a.hi - a.u_hat, quads)
 
@@ -685,7 +744,7 @@ def warm_start_inner(agents: list[AgentState],
     saved = [a.problem for a in agents]
     for a in agents:
         a.problem = None
-    trace, _ = _run_rounds(agents, options, net, options.warm_tol,
+    trace, _ = _run_rounds(agents, options, net, WARM_TOL,
                            options.max_inner)
     for a, prob in zip(agents, saved):
         a.problem = prob
@@ -710,6 +769,9 @@ class MpcDiagnostics:
     consensus_gap: float = np.inf
     violation: float = np.inf
     guard_rounds: int = 0
+    # splitting runs that hit max_inner short of their tolerance: warm
+    # start attempts, stages, the p = 1 runs and guard runs
+    capped_runs: int = 0
     frozen: int = 0
     converged: bool = False
     feasible: bool = False
@@ -728,38 +790,14 @@ def _p1_problem(a: AgentState) -> ConvexQcqp:
     """The one-step horizon is exactly quadratic: build the agent's QCQP
     with drag charged at the measured speeds."""
     sh = a.shared
-    dim = a.dim
-    own_sl = a.sl(a.own_pos)
     tau = sh.config.tau
-    e = np.array([sh.config.vehicles[j - 1].drag * sh.state.v[j] ** 2
-                  + sh.config.vehicles[j - 1].roll * GRAVITY
-                  for j in a.blocks])
+    e = _losses(sh.config, sh.state, a.blocks)
     w_hat = sh.dec.W_hat[a.i - 1]
     m_hat = w_hat - tau * tau * sh.dec.Psi_hat[a.i - 1]
-    q = _embed(dim, [(own_sl, sh.model.c_block(a.i))]) - m_hat @ e
-    par = sh.config.vehicles[a.i - 1]
-    prev = _prev_of(sh.config, a.i)
-    v, v_prev, z, zp = _tracking(sh, a.i)
-    e_own = float(e[a.own_pos])
-    quads = [
-        (np.zeros((dim, dim)), _embed(dim, [(own_sl, np.array([-tau]))]),
-         sh.config.speed_min - v + tau * e_own),
-        (np.zeros((dim, dim)), _embed(dim, [(own_sl, np.array([tau]))]),
-         v - tau * e_own - sh.config.speed_max),
-    ]
-    u_prev0 = (np.array([sh.state.u0]) if a.i == 1 else np.zeros(1))
-    h0, g_own0, g_prev0 = safety_constraint_fn(
-        sh.config, par, prev, v, v_prev, z, zp, np.zeros(1), u_prev0,
-        sh.struct)
-    own_h, _ = safety_constraint_hessians(sh.config, par, prev, v,
-                                          np.zeros(1), sh.struct)
-    A = np.zeros((dim, dim))
-    A[own_sl, own_sl] = own_h[0]
-    parts = [(own_sl, g_own0[0])]
-    if a.i > 1:
-        parts.append((a.sl(a.own_pos - 1), g_prev0[0]))
-    quads.append((A, _embed(dim, parts), float(h0[0])))
-    return ConvexQcqp(w_hat, q, a.lo, a.hi, quads)
+    q = _embed(a.dim, [(a.sl(a.own_pos), sh.model.c_block(a.i))]) - m_hat @ e
+    rows = _one_step_rows(sh.config, sh.state, sh.struct, a.i)
+    return ConvexQcqp(w_hat, q, a.lo, a.hi,
+                      _place(rows, a.i, a.span[0], a.dim, 1))
 
 
 def _outer_converged(p: int, step: float, scale: float, tol: float) -> bool:
@@ -796,10 +834,11 @@ def solve_mpc(agents: list[AgentState],
         _begin_stage(agents, None, seed="carry")
         tol = options.outer_tol_for(1)
         traces = []
-        for attempt in range(options.guard_retries + 1):
+        for attempt in range(GUARD_RETRIES + 1):
             trace, conv = _run_rounds(agents, options, net, tol,
                                       options.max_inner)
             traces += trace
+            diag.capped_runs += not conv
             plan = _collect_prox_plan(agents)
             viol = plan_violation(sh.config, sh.state, plan, sh.struct)
             if viol <= options.feas_tol or not conv:
@@ -843,6 +882,7 @@ def solve_mpc(agents: list[AgentState],
                 trace, inner_ok = _run_rounds(agents, options, net,
                                               tol_inner, options.max_inner)
             diag.inner_iters += len(trace)
+            diag.capped_runs += not inner_ok
             diag.residual_trace["inner"].append(
                 [float(r) for r in trace])
             diag.inner_residual = trace[-1] if trace else np.inf
@@ -855,9 +895,9 @@ def solve_mpc(agents: list[AgentState],
                 a_step = float(np.max(np.abs(new_local - a.u_hat)))
                 step = max(step, a_step)
                 scale = max(scale, float(np.max(np.abs(new_local))))
-                if a_step <= options.freeze_step:
+                if a_step <= FREEZE_STEP:
                     a.still += 1
-                    if a.still >= options.freeze_rounds:
+                    if a.still >= FREEZE_ROUNDS:
                         a.frozen = True
                 else:
                     a.still = 0
@@ -874,14 +914,15 @@ def solve_mpc(agents: list[AgentState],
         diag.converged = conv
         plan = _collect_prox_plan(agents)
         viol = plan_violation(sh.config, sh.state, plan, sh.struct)
-        for attempt in range(options.guard_retries):
+        for attempt in range(GUARD_RETRIES):
             if viol <= options.feas_tol:
                 break
             diag.guard_rounds += 1
             tol_inner /= 10.0
-            trace, _ = _run_rounds(agents, options, net, tol_inner,
-                                   options.max_inner)
+            trace, conv = _run_rounds(agents, options, net, tol_inner,
+                                      options.max_inner)
             diag.inner_iters += len(trace)
+            diag.capped_runs += not conv
             means = {j + 1: row for j, row in
                      enumerate(_collect_plan(agents))}
             for a in agents:
@@ -914,41 +955,14 @@ def solve_centralized_p1(config: PlatoonConfig, weights: WeightSchedule,
     model = assemble_quadratic_model(config, weights, state=state)
     n = config.n
     struct = build_structural(n, 1)
-    tau = config.tau
-    e = np.array([config.vehicles[i].drag * state.v[i + 1] ** 2
-                  + config.vehicles[i].roll * GRAVITY for i in range(n)])
-    H = model.W
-    q = model.c - model.V @ e
-    lo = config.accel_min.astype(float)
-    hi = config.accel_max.astype(float)
-    z = state.spacing_error(config.gap)
-    zp = state.rel_speed()
+    e = _losses(config, state, range(1, n + 1))
     quads = []
     for i in range(1, n + 1):
-        par = config.vehicles[i - 1]
-        row = np.zeros(n)
-        row[i - 1] = -tau
-        quads.append((np.zeros((n, n)), row.copy(),
-                      config.speed_min - state.v[i] + tau * e[i - 1]))
-        quads.append((np.zeros((n, n)), -row,
-                      state.v[i] - tau * e[i - 1] - config.speed_max))
-        prev = _prev_of(config, i)
-        u_prev0 = (np.array([state.u0]) if i == 1 else np.zeros(1))
-        h0, g_own0, g_prev0 = safety_constraint_fn(
-            config, par, prev, float(state.v[i]), float(state.v[i - 1]),
-            float(z[i - 1]), float(zp[i - 1]), np.zeros(1), u_prev0, struct)
-        own_h, _ = safety_constraint_hessians(config, par, prev,
-                                              float(state.v[i]), np.zeros(1),
-                                              struct)
-        A = np.zeros((n, n))
-        A[i - 1, i - 1] = own_h[0, 0, 0]
-        b = np.zeros(n)
-        b[i - 1] = g_own0[0, 0]
-        if i > 1:
-            b[i - 2] = g_prev0[0, 0]
-        quads.append((A, b, float(h0[0])))
-    res = qcqp_solve(ConvexQcqp(H, q, lo, hi, quads), mu_final=mu_final)
-    return res.y
+        quads += _place(_one_step_rows(config, state, struct, i), i, 1, n, 1)
+    prob = ConvexQcqp(model.W, model.c - model.V @ e,
+                      config.accel_min.astype(float),
+                      config.accel_max.astype(float), quads)
+    return qcqp_solve(prob, mu_final=mu_final).y
 
 
 def solve_centralized_linear(config: PlatoonConfig, weights: WeightSchedule,
@@ -959,31 +973,11 @@ def solve_centralized_linear(config: PlatoonConfig, weights: WeightSchedule,
     model = assemble_quadratic_model(config, weights, state=state)
     n, p = config.n, weights.p
     struct = build_structural(n, p)
-    dim = n * p
-    lo = np.repeat(config.accel_min.astype(float), p)
-    hi = np.repeat(config.accel_max.astype(float), p)
-    z = state.spacing_error(config.gap)
-    zp = state.rel_speed()
-    s_p = np.tril(np.ones((p, p)))
     quads = []
     for i in range(1, n + 1):
-        own = slice((i - 1) * p, i * p)
-        rs = restricted_convex_sets(config, i, float(state.v[i]),
-                                    float(state.v[i - 1]), float(z[i - 1]),
-                                    float(zp[i - 1]), p, struct,
-                                    u0=state.u0)
-        for j in range(p):
-            row = _embed(dim, [(own, s_p[j])])
-            quads.append((np.zeros((dim, dim)), -row, float(rs.cum_lo[j])))
-            quads.append((np.zeros((dim, dim)), row, -float(rs.cum_hi[j])))
-        for A, b, c in rs.quads:
-            Af = np.zeros((dim, dim))
-            bf = np.zeros(dim)
-            idx = (np.arange((i - 2) * p, i * p) if rs.includes_prev
-                   else np.arange((i - 1) * p, i * p))
-            Af[np.ix_(idx, idx)] = A
-            bf[idx] = b
-            quads.append((Af, bf, float(c)))
-    res = qcqp_solve(ConvexQcqp(model.W, model.c, lo, hi, quads),
-                     mu_final=mu_final)
-    return res.y.reshape(n, p)
+        quads += _place(_restricted_rows(config, state, struct, i, p), i, 1,
+                        n * p, p)
+    prob = ConvexQcqp(model.W, model.c,
+                      np.repeat(config.accel_min.astype(float), p),
+                      np.repeat(config.accel_max.astype(float), p), quads)
+    return qcqp_solve(prob, mu_final=mu_final).y.reshape(n, p)

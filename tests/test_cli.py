@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from platoon_mpc.cli import (RunSpec, build_scenario, main, run_many,
-                             run_spec, worker_count)
+from platoon_mpc.cli import RunSpec, build_scenario, main, run_spec
 from platoon_mpc.platoon import save_config
 from platoon_mpc.presets import platoon_preset
 
@@ -27,7 +26,8 @@ def test_run_spec_writes_artifacts(tmp_path):
     assert summary["max_spacing_deviation"] < 0.08
     diags = json.loads((out / "diagnostics.json").read_text())
     assert len(diags) == 6
-    assert {"outer_iters", "wall_time", "feasible"} <= set(diags[0])
+    assert {"outer_iters", "capped_runs", "wall_time",
+            "feasible"} <= set(diags[0])
     assert "trajectory.csv" in (out / "plot.gp").read_text()
     on_disk = json.loads((out / "summary.json").read_text())
     assert on_disk["max_spacing_deviation"] == \
@@ -69,27 +69,6 @@ def test_solver_overrides_reach_the_solver():
     # a loose consensus stop leaves a visibly biased fixed point
     assert abs(loose["max_steady_state_error"]
                - tight["max_steady_state_error"]) > 1e-3
-
-
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setenv("PLATOON_MPC_THREADS", "1")
-    assert worker_count(8) == 1
-    monkeypatch.setenv("PLATOON_MPC_THREADS", "3")
-    assert worker_count(8) == 3
-    assert worker_count(2) == 2
-    monkeypatch.delenv("PLATOON_MPC_THREADS")
-    assert worker_count(1) == 1
-
-
-def test_run_many_matches_single_runs(monkeypatch):
-    monkeypatch.setenv("PLATOON_MPC_THREADS", "2")
-    specs = [cruise_spec(steps=5), cruise_spec(steps=5)]
-    fanned = run_many(specs)
-    solo = run_spec(cruise_spec(steps=5))
-    assert len(fanned) == 2
-    for summary in fanned:
-        assert summary["max_spacing_deviation"] == \
-            solo["max_spacing_deviation"]
 
 
 def test_cli_run_prints_summary():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import box_qp_brute, projection_by_lstsq
+from oracles import box_qp_brute
 from platoon_mpc.convex import (
-    ConvexQcqp, QcqpInfeasibleError, box_prox, kkt_residual,
-    project_consensus, qcqp_prox, qcqp_solve,
+    ConvexQcqp, QcqpInfeasibleError, box_prox, kkt_residual, qcqp_prox,
+    qcqp_solve,
 )
 
 
@@ -149,18 +149,3 @@ def test_tiny_box_interior_requirement():
         ConvexQcqp(np.eye(1), np.zeros(1), np.array([1.0]),
                    np.array([1.0]))
 
-
-def test_project_consensus_matches_lstsq(rng):
-    p = 3
-    layout = [[1, 2], [1, 2, 3], [2, 3, 4], [3, 4]]
-    arrays = [rng.normal(size=len(blocks) * p) for blocks in layout]
-    out, means = project_consensus(layout, arrays, p)
-    stacked = np.concatenate(arrays)
-    ref = projection_by_lstsq(layout, stacked, p)
-    got = np.concatenate(out)
-    assert np.max(np.abs(got - ref)) <= 1e-9
-    # idempotent, and each mean is the average of its copies
-    out2, _ = project_consensus(layout, out, p)
-    assert np.max(np.abs(np.concatenate(out2) - got)) <= 1e-12
-    manual = (arrays[0][p:] + arrays[1][p:2 * p] + arrays[2][:p]) / 3.0
-    assert np.allclose(means[2], manual, atol=1e-12)
