@@ -4,9 +4,8 @@ Problems have a PSD quadratic objective over a box intersected with convex
 quadratic inequalities 1/2 y'Ay + b'y + c <= 0 (affine rows use A = 0).
 Solved with a primal log-barrier and damped Newton steps, then polished by
 a Newton solve of the active-set KKT system, which brings the KKT residual
-to machine precision at these sizes.  The prox and consensus-projection
-operators at the bottom are the building blocks of the operator-splitting
-rounds in the solver module.
+to machine precision at these sizes.  The prox operator at the bottom is
+the building block of the operator-splitting rounds in the solver module.
 """
 
 from __future__ import annotations
@@ -23,7 +22,15 @@ class QcqpInfeasibleError(RuntimeError):
 @dataclass
 class ConvexQcqp:
     """min 1/2 y'Hy + q'y  s.t.  lo <= y <= hi,
-    1/2 y'A_k y + b_k'y + c_k <= 0 for every (A_k, b_k, c_k) in quads."""
+    1/2 y'A_k y + b_k'y + c_k <= 0 for every (A_k, b_k, c_k) in quads.
+
+    All constraints, the box included, are stacked once, at construction,
+    in the order of con_values: aff_B ((2d + m) x d) and aff_c hold their
+    affine parts, lo - y <= 0 as [-I; lo] and y - hi <= 0 as [I; -hi];
+    curved holds the ascending indices of the constraints with a nonzero
+    A and curved_A (k x d x d) those matrices.  A problem is not changed
+    after construction; with_objective derives problems that share its
+    stacks."""
 
     H: np.ndarray
     q: np.ndarray
@@ -38,6 +45,19 @@ class ConvexQcqp:
         self.hi = np.asarray(self.hi, dtype=float)
         if np.any(self.hi - self.lo <= 0):
             raise ValueError("box must have nonempty interior")
+        d, m = self.dim, len(self.quads)
+        rows_b = np.array([b for _, b, _ in self.quads], dtype=float)
+        self.aff_B = np.concatenate([-np.eye(d), np.eye(d),
+                                     rows_b.reshape(m, d)])
+        self.aff_c = np.concatenate([
+            self.lo, -self.hi,
+            np.array([c for _, _, c in self.quads], dtype=float)])
+        curved = [k for k, (A, _, _) in enumerate(self.quads) if np.any(A)]
+        self.curved = 2 * d + np.array(curved, dtype=int)
+        self.curved_A = np.array([self.quads[k][0] for k in curved],
+                                 dtype=float).reshape(len(curved), d, d)
+        self.h_nonzero = bool(np.linalg.norm(self.H, ord=np.inf) > 0)
+        self._prox = None
 
     @property
     def dim(self) -> int:
@@ -47,28 +67,55 @@ class ConvexQcqp:
     def n_con(self) -> int:
         return 2 * self.dim + len(self.quads)
 
+    def with_objective(self, H: np.ndarray, q: np.ndarray,
+                       h_nonzero: bool) -> ConvexQcqp:
+        """The same constraint set under the objective 1/2 y'Hy + q'y,
+        sharing this problem's row stacks; h_nonzero must state whether
+        H is nonzero."""
+        out = object.__new__(ConvexQcqp)
+        out.__dict__.update(self.__dict__)
+        out.H, out.q, out.h_nonzero, out._prox = H, q, h_nonzero, None
+        return out
+
+    def prox_hessian(self, rho: float,
+                     metric: np.ndarray | None = None) -> tuple:
+        """H + metric/rho (the identity metric when None) and whether it is
+        nonzero.  Computed on the first call and kept for the later calls
+        with the same rho and metric object, so a splitting stage forms it
+        once."""
+        memo = self._prox
+        if memo is None or memo[0] != rho or memo[1] is not metric:
+            curv = np.eye(self.dim) / rho if metric is None else metric / rho
+            Hs = self.H + curv
+            memo = self._prox = (rho, metric, Hs,
+                                 bool(np.linalg.norm(Hs, ord=np.inf) > 0))
+        return memo[2], memo[3]
+
     def value(self, y: np.ndarray) -> float:
         return float(0.5 * y @ (self.H @ y) + self.q @ y)
 
     def con_values(self, y: np.ndarray) -> np.ndarray:
-        vals = np.concatenate([self.lo - y, y - self.hi])
-        if self.quads:
-            extra = [0.5 * y @ (A @ y) + b @ y + c for A, b, c in self.quads]
-            vals = np.concatenate([vals, extra])
+        # per constraint (1/2 y'A y + b'y) + c; vecdot takes the same dot
+        # product as b @ y row by row, and on the box rows it is exact
+        vals = np.vecdot(self.aff_B, y)
+        if self.curved.size:
+            vals[self.curved] += np.vecdot(self.curved_A @ y, 0.5 * y)
+        vals += self.aff_c
         return vals
 
     def con_grads(self, y: np.ndarray) -> np.ndarray:
-        d = self.dim
-        rows = [-np.eye(d), np.eye(d)]
-        for A, b, _ in self.quads:
-            rows.append((A @ y + b)[None, :])
-        return np.vstack(rows)
+        grads = self.aff_B.copy()
+        if self.curved.size:
+            grads[self.curved] += self.curved_A @ y
+        return grads
 
-    def con_hess(self, k: int) -> np.ndarray | None:
-        d = self.dim
-        if k < 2 * d:
-            return None
-        return self.quads[k - 2 * d][0]
+    def add_row_hessians(self, out: np.ndarray,
+                         weights: np.ndarray) -> np.ndarray:
+        """out += weights[k] * A_k for every curved constraint k, in
+        order; weights has one entry per constraint."""
+        for k, A in zip(self.curved, self.curved_A):
+            out += weights[k] * A
+        return out
 
 
 @dataclass
@@ -104,9 +151,8 @@ def _newton_barrier(prob: ConvexQcqp, y: np.ndarray, t: float,
         grads = prob.con_grads(y)
         inv_g = -1.0 / g
         grad = t * (prob.H @ y + prob.q) + grads.T @ inv_g
-        hess = t * prob.H + (grads * (inv_g ** 2)[:, None]).T @ grads
-        for k, (A, _, _) in enumerate(prob.quads):
-            hess += inv_g[2 * d + k] * A
+        hess = prob.add_row_hessians(
+            t * prob.H + (grads * (inv_g ** 2)[:, None]).T @ grads, inv_g)
         try:
             step = -np.linalg.solve(hess + 1e-12 * np.eye(d), grad)
         except np.linalg.LinAlgError:
@@ -163,10 +209,9 @@ def _strictly_feasible_start(prob: ConvexQcqp, y0: np.ndarray | None,
             grads = prob.con_grads(y)
             grad_y = grads.T @ inv - 1.0 / box_lo + 1.0 / box_hi
             grad_s = t - float(np.sum(inv))
-            hess_yy = (grads * (inv ** 2)[:, None]).T @ grads \
-                + np.diag(1.0 / box_lo ** 2 + 1.0 / box_hi ** 2)
-            for k, (A, _, _) in enumerate(prob.quads):
-                hess_yy += inv[2 * prob.dim + k] * A
+            hess_yy = prob.add_row_hessians(
+                (grads * (inv ** 2)[:, None]).T @ grads
+                + np.diag(1.0 / box_lo ** 2 + 1.0 / box_hi ** 2), inv)
             hess_ys = -grads.T @ (inv ** 2)
             hess_ss = float(np.sum(inv ** 2))
             kkt = np.block([[hess_yy, hess_ys[:, None]],
@@ -233,14 +278,13 @@ def _kkt_newton(prob: ConvexQcqp, y: np.ndarray, idx: np.ndarray,
         res = np.concatenate([stat, g[idx]])
         if np.max(np.abs(res)) < 1e-12 * scale:
             return yv, lam_a, True
-        hess = prob.H.copy()
-        for pos, k in enumerate(idx):
-            A = prob.con_hess(int(k))
-            if A is not None:
-                hess = hess + lam_a[pos] * A
-        jac = np.block([
-            [hess, grads[idx].T],
-            [grads[idx], np.zeros((idx.size, idx.size))]])
+        weights = np.zeros(prob.n_con)
+        weights[idx] = lam_a
+        hess = prob.add_row_hessians(prob.H.copy(), weights)
+        jac = np.zeros((d + idx.size, d + idx.size))
+        jac[:d, :d] = hess
+        jac[:d, d:] = grads[idx].T
+        jac[d:, :d] = grads[idx]
         try:
             step = np.linalg.solve(jac + 1e-14 * np.eye(jac.shape[0]), -res)
         except np.linalg.LinAlgError:
@@ -258,7 +302,8 @@ def _kkt_newton(prob: ConvexQcqp, y: np.ndarray, idx: np.ndarray,
 def _finish_active(prob: ConvexQcqp, yv: np.ndarray, idx: np.ndarray,
                    lam_a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     g = prob.con_values(yv)
-    inactive = np.setdiff1d(np.arange(prob.n_con), idx)
+    inactive = np.ones(prob.n_con, dtype=bool)
+    inactive[idx] = False
     if np.any(lam_a < -1e-9) or \
             np.any(g[inactive] > 1e-10) or \
             np.max(np.abs(g[idx]), initial=0.0) > 1e-10:
@@ -281,14 +326,10 @@ def _polish(prob: ConvexQcqp, y: np.ndarray, lam: np.ndarray,
     return _finish_active(prob, yv, idx, lam_a)
 
 
-def _active_set_solve(prob: ConvexQcqp) -> QcqpResult | None:
+def _active_set_solve(prob: ConvexQcqp, y: np.ndarray) -> QcqpResult | None:
     """Combinatorial active-set search seeded from the unconstrained
-    minimizer; every exit is verified against the full KKT conditions, so
-    a None just routes the problem to the barrier."""
-    try:
-        y = np.linalg.solve(prob.H, -prob.q)
-    except np.linalg.LinAlgError:
-        return None
+    minimizer y; every exit is verified against the full KKT conditions,
+    so a None just routes the problem to the barrier."""
     act = set(np.flatnonzero(prob.con_values(y) > 0.0).tolist())
     lam: dict[int, float] = {k: 0.0 for k in act}
     seen = set()
@@ -331,14 +372,14 @@ def qcqp_solve(prob: ConvexQcqp, y0: np.ndarray | None = None,
     set of a previous solution first, then follows the barrier path; the
     active-set polish usually ends it early at machine precision, otherwise
     the path is driven to mu_final."""
-    if np.linalg.norm(prob.H, ord=np.inf) > 0:
+    if prob.h_nonzero:
         try:
             free = np.linalg.solve(prob.H, -prob.q)
-            if np.all(prob.con_values(free) < -1e-8):
-                return QcqpResult(free, np.zeros(prob.n_con),
-                                  prob.value(free), "free")
         except np.linalg.LinAlgError:
-            pass
+            free = None
+        if free is not None and np.all(prob.con_values(free) < -1e-8):
+            return QcqpResult(free, np.zeros(prob.n_con), prob.value(free),
+                              "free")
         if warm is not None and warm.lam.size == prob.n_con:
             idx = np.flatnonzero(warm.lam > 1e-9)
             if idx.size:
@@ -348,7 +389,7 @@ def qcqp_solve(prob: ConvexQcqp, y0: np.ndarray | None = None,
                     if done is not None:
                         return QcqpResult(done[0], done[1],
                                           prob.value(done[0]), "warm")
-        fast = _active_set_solve(prob)
+        fast = None if free is None else _active_set_solve(prob, free)
         if fast is not None:
             return fast
 
@@ -383,12 +424,9 @@ def qcqp_prox(prob: ConvexQcqp, anchor: np.ndarray, rho: float,
     """prox_{rho f}(anchor) for f the objective restricted to the
     constraint set: adds (1/rho) * (1/2 ||y||^2 - anchor'y), with the
     norm taken in the positive definite metric when one is given."""
-    if metric is None:
-        curv, pull = np.eye(prob.dim) / rho, anchor / rho
-    else:
-        curv, pull = metric / rho, metric @ anchor / rho
-    shifted = ConvexQcqp(prob.H + curv, prob.q - pull, prob.lo, prob.hi,
-                         prob.quads)
+    pull = anchor / rho if metric is None else metric @ anchor / rho
+    hess, nonzero = prob.prox_hessian(rho, metric)
+    shifted = prob.with_objective(hess, prob.q - pull, nonzero)
     return qcqp_solve(shifted, y0=anchor if y0 is None else y0, warm=warm)
 
 

@@ -61,6 +61,8 @@ WARM_TOL = 1e-7
 # consecutive outer iterations collapses to its current point
 FREEZE_STEP = 1e-9
 FREEZE_ROUNDS = 2
+# the trailing zero the consensus average reads for a missing copy
+_ZERO = np.zeros(1)
 
 
 class LocalityError(RuntimeError):
@@ -119,31 +121,42 @@ class SolverConfig:
 
 
 class LocalExchange:
-    """Message fabric between agents.  Every cross-agent read passes
-    through transfer(), which refuses non-adjacent pairs and counts
-    traffic for the diagnostics."""
+    """Message fabric between agents.  It refuses non-adjacent pairs and
+    counts traffic for the diagnostics: transfer() moves one payload; the
+    consensus rounds check their fixed routes once with check() and then
+    count each round, and its traffic, with record_round()."""
 
     def __init__(self, n: int):
         self.n = n
         self.messages = 0
         self.floats = 0
+        self.rounds = 0
 
-    def transfer(self, src: int, dst: int, payload: np.ndarray) -> np.ndarray:
+    def check(self, src: int, dst: int) -> None:
         if not (1 <= src <= self.n and 1 <= dst <= self.n):
             raise LocalityError(f"agent index out of range: {src} -> {dst}")
         if abs(src - dst) > 1:
             raise LocalityError(
                 f"agents {src} and {dst} are not adjacent")
+
+    def transfer(self, src: int, dst: int, payload: np.ndarray) -> np.ndarray:
+        self.check(src, dst)
         self.messages += 1
         self.floats += payload.size
         return np.array(payload, copy=True)
+
+    def record_round(self, messages: int, floats: int) -> None:
+        self.messages += messages
+        self.floats += floats
+        self.rounds += 1
 
 
 @dataclass
 class SharedContext:
     """Problem data common to all agents for the current step.  The
     quadratic weights and their decomposition never change between steps;
-    the linear terms and local costs follow the state."""
+    the linear terms and local costs follow the state.  The consensus
+    layout is built by the first consensus round."""
 
     config: PlatoonConfig
     weights: WeightSchedule
@@ -152,6 +165,7 @@ class SharedContext:
     model: QuadraticModel
     objectives: list[LocalObjective]
     state: PlatoonState
+    layout: "ConsensusLayout | None" = None
 
 
 @dataclass
@@ -292,29 +306,70 @@ def _prev_controls(a: AgentState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # consensus and splitting rounds
 
-def _consensus(agents: list[AgentState], net: LocalExchange) -> dict:
+class ConsensusLayout:
+    """Index plan of the consensus average for the agents' fixed layout.
+    Every round stacks the agents' z vectors (plus one trailing zero) and
+    reads, for each entry of each block, its copies in ascending agent
+    order: row h of copy_idx is the h-th holder's copy, or the trailing
+    zero when the block has fewer holders.  scatter hands each agent the
+    means of its blocks.  Building the plan checks every route against the
+    message fabric, so a copy held beyond a neighbor raises LocalityError;
+    a round then sends one message out and one back per held copy."""
+
+    def __init__(self, agents: list[AgentState], net: LocalExchange):
+        p, n = agents[0].p, len(agents)
+        # (agent, start of its copy in the stacked z) for every block
+        holders: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.slices = []
+        start = copies = 0
+        for a in agents:
+            for pos, j in enumerate(a.blocks):
+                if j != a.i:
+                    net.check(a.i, j)
+                    net.check(j, a.i)
+                    copies += 1
+                holders[j - 1].append((a.i, start + pos * p))
+            self.slices.append(slice(start, start + a.dim))
+            start += a.dim
+        self.copy_idx = np.full((max(map(len, holders)), n * p), start)
+        for j, held in enumerate(holders):
+            for h, (_, first) in enumerate(sorted(held)):
+                self.copy_idx[h, j * p:(j + 1) * p] = first + np.arange(p)
+        self.count = np.repeat([float(len(held)) for held in holders], p)
+        self.scatter = np.concatenate(
+            [np.arange((j - 1) * p, j * p) for a in agents for j in a.blocks])
+        self.messages = 2 * copies
+        self.floats = 2 * copies * p
+
+
+def _average(agents: list[AgentState], net: LocalExchange):
     """Average every vehicle's copies at its owner and hand the mean back.
-    Contributions are summed in fixed index order so the result does not
-    depend on agent scheduling."""
+    Copies are summed in ascending agent order, starting from zero, so
+    the result does not depend on agent scheduling.  Sets every agent's w
+    (and w_prev); returns the agents' z, the block means and the agents'
+    w, each stacked."""
+    sh = agents[0].shared
+    if sh.layout is None:
+        sh.layout = ConsensusLayout(agents, net)
+    lay = sh.layout
+    z = np.concatenate([a.z for a in agents] + [_ZERO])
+    copies = z[lay.copy_idx]
+    total = 0.0 + copies[0]
+    for row in copies[1:]:
+        total += row
+    means = total / lay.count
+    w = means[lay.scatter]
+    for a, sl in zip(agents, lay.slices):
+        a.w_prev, a.w = a.w, w[sl]
+    net.record_round(lay.messages, lay.floats)
+    return z[:-1], means, w
+
+
+def _consensus(agents: list[AgentState], net: LocalExchange) -> dict:
+    """The consensus average (see _average), as {block: mean}."""
+    _, means, _ = _average(agents, net)
     p = agents[0].p
-    contrib: dict[int, dict[int, np.ndarray]] = {}
-    for a in agents:
-        for pos, j in enumerate(a.blocks):
-            seg = a.z[a.sl(pos)]
-            if j != a.i:
-                seg = net.transfer(a.i, j, seg)
-            contrib.setdefault(j, {})[a.i] = seg
-    means = {}
-    for j, parts in contrib.items():
-        stack = [parts[k] for k in sorted(parts)]
-        means[j] = sum(stack) / float(len(stack))
-    for a in agents:
-        w = np.empty_like(a.z)
-        for pos, j in enumerate(a.blocks):
-            m = means[j] if j == a.i else net.transfer(j, a.i, means[j])
-            w[a.sl(pos)] = m
-        a.w_prev, a.w = a.w, w
-    return means
+    return {j + 1: means[j * p:(j + 1) * p] for j in range(means.size // p)}
 
 
 def _agent_prox(a: AgentState, anchor: np.ndarray,
@@ -349,14 +404,19 @@ def dr_round(agents: list[AgentState], options: SolverConfig,
     change of any agent's consensus iterate (inf on the first round)."""
     if net is None:
         net = LocalExchange(len(agents))
-    _consensus(agents, net)
+    z, _, w = _average(agents, net)
     resid = np.inf
     if all(a.w_prev is not None for a in agents):
-        resid = max(float(np.max(np.abs(a.w - a.w_prev))) for a in agents)
-    for a in agents:
-        y = _agent_prox(a, 2.0 * a.w - a.z, options)
-        a.y_last = y
-        a.z = a.z + 2.0 * options.alpha * (y - a.w)
+        resid = float(np.max(np.abs(
+            w - np.concatenate([a.w_prev for a in agents]))))
+    # the arithmetic runs on the stacked vectors; each agent keeps a slice
+    slices = agents[0].shared.layout.slices
+    anchor = 2.0 * w - z
+    ys = [_agent_prox(a, anchor[sl], options)
+          for a, sl in zip(agents, slices)]
+    z = z + 2.0 * options.alpha * (np.concatenate(ys) - w)
+    for a, sl, y in zip(agents, slices, ys):
+        a.y_last, a.z = y, z[sl]
     return resid
 
 
@@ -599,6 +659,7 @@ def warm_start_linear(agents: list[AgentState],
     if net is None:
         net = LocalExchange(len(agents))
     sh = agents[0].shared
+    rounds0 = net.rounds
     for a in agents:
         a.problem = _linear_problem(a)
     _begin_stage(agents, None, seed="carry")
@@ -620,7 +681,7 @@ def warm_start_linear(agents: list[AgentState],
                 f"{GUARD_TOL:.0e} after {attempt + 1} attempts")
         tol /= 10.0
     if diag is not None:
-        diag.lin_rounds = len(full_trace)
+        diag.lin_rounds = net.rounds - rounds0
         diag.capped_runs += capped
         diag.residual_trace["linear"] = [float(r) for r in full_trace]
     means = {j + 1: plan[j] for j in range(len(agents))}
@@ -758,6 +819,8 @@ def warm_start_inner(agents: list[AgentState],
 class MpcDiagnostics:
     p: int
     outer_iters: int = 0
+    # splitting rounds run: lin_rounds in the loss-free warm start,
+    # warm_rounds in the box-only warm-ups, inner_iters in all the others
     inner_iters: int = 0
     lin_rounds: int = 0
     warm_rounds: int = 0
@@ -850,7 +913,6 @@ def solve_mpc(agents: list[AgentState],
             a.u_hat = np.concatenate(
                 [plan[j - 1] for j in a.blocks])
         diag.outer_iters = 1
-        diag.inner_iters = len(traces)
         diag.inner_residual = traces[-1] if traces else np.inf
         diag.outer_step = diag.inner_residual
         diag.converged = conv
@@ -877,11 +939,11 @@ def solve_mpc(agents: list[AgentState],
                                               window=RATE_WINDOW)
             else:
                 _begin_stage(agents, base, seed="zero")
-                diag.warm_rounds += len(
-                    warm_start_inner(agents, options, net))
+                rounds0 = net.rounds
+                warm_start_inner(agents, options, net)
+                diag.warm_rounds += net.rounds - rounds0
                 trace, inner_ok = _run_rounds(agents, options, net,
                                               tol_inner, options.max_inner)
-            diag.inner_iters += len(trace)
             diag.capped_runs += not inner_ok
             diag.residual_trace["inner"].append(
                 [float(r) for r in trace])
@@ -919,9 +981,8 @@ def solve_mpc(agents: list[AgentState],
                 break
             diag.guard_rounds += 1
             tol_inner /= 10.0
-            trace, conv = _run_rounds(agents, options, net, tol_inner,
-                                      options.max_inner)
-            diag.inner_iters += len(trace)
+            _, conv = _run_rounds(agents, options, net, tol_inner,
+                                  options.max_inner)
             diag.capped_runs += not conv
             means = {j + 1: row for j, row in
                      enumerate(_collect_plan(agents))}
@@ -930,6 +991,7 @@ def solve_mpc(agents: list[AgentState],
             plan = _collect_prox_plan(agents)
             viol = plan_violation(sh.config, sh.state, plan, sh.struct)
 
+    diag.inner_iters = net.rounds - diag.lin_rounds - diag.warm_rounds
     diag.violation = plan_violation(sh.config, sh.state, plan, sh.struct)
     diag.feasible = diag.violation <= options.feas_tol
     diag.stationarity = _stationarity(agents)

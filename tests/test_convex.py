@@ -1,5 +1,8 @@
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import box_qp_brute
 from platoon_mpc.convex import (
@@ -149,3 +152,96 @@ def test_tiny_box_interior_requirement():
         ConvexQcqp(np.eye(1), np.zeros(1), np.array([1.0]),
                    np.array([1.0]))
 
+
+
+def mixed_rows(rng, d, kinds, center):
+    """One row per kind: affine (A = 0), scaled identity or dense PSD,
+    each strictly satisfied at center."""
+    rows = []
+    for kind in kinds:
+        if kind == "affine":
+            A = np.zeros((d, d))
+        elif kind == "scaled":
+            A = rng.uniform(0.1, 3.0) * np.eye(d)
+        else:
+            A = random_pd(rng, d, floor=0.1)
+        b = rng.normal(size=d)
+        c = -(0.5 * center @ (A @ center) + b @ center) - rng.uniform(0.5, 3.0)
+        rows.append((A, b, float(c)))
+    return rows
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6),
+       kinds=st.lists(st.sampled_from(["affine", "scaled", "dense"]),
+                      max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_stacked_rows_match_per_row_formulas(seed, d, kinds):
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-0.5, 0.5, d)
+    quads = mixed_rows(rng, d, kinds, center)
+    prob = ConvexQcqp(random_pd(rng, d), rng.normal(0.0, 3.0, d),
+                      np.full(d, -3.0), np.full(d, 3.0), quads)
+    y = rng.uniform(-2.0, 2.0, d)
+
+    def close(got, want):
+        return np.max(np.abs(got - want), initial=0.0) <= \
+            1e-12 * (1.0 + np.max(np.abs(want), initial=0.0))
+
+    rows = [0.5 * y @ (A @ y) + b @ y + c for A, b, c in quads]
+    assert close(prob.con_values(y),
+                 np.concatenate([prob.lo - y, y - prob.hi, rows]))
+    grads = [-np.eye(d), np.eye(d)] + [(A @ y + b)[None, :]
+                                       for A, b, _ in quads]
+    assert close(prob.con_grads(y), np.vstack(grads))
+    # the barrier Hessian sum, with one weight per constraint
+    weights = rng.uniform(0.1, 5.0, prob.n_con)
+    base = random_pd(rng, d)
+    want = base.copy()
+    for k, (A, _, _) in enumerate(quads):
+        want += weights[2 * d + k] * A
+    assert close(prob.add_row_hessians(base.copy(), weights), want)
+
+    # the prox problem shares the rows and leaves them as they were
+    stacks = ("H", "q", "lo", "hi", "aff_B", "aff_c", "curved", "curved_A")
+    before = {name: getattr(prob, name).copy() for name in stacks}
+    rho = float(rng.uniform(0.05, 2.0))
+    anchor = rng.normal(size=d)
+    hess, nonzero = prob.prox_hessian(rho)
+    assert nonzero and np.array_equal(hess, prob.H + np.eye(d) / rho)
+    shifted = prob.with_objective(hess, prob.q - anchor / rho, nonzero)
+    for name in stacks[2:]:
+        assert getattr(shifted, name) is getattr(prob, name)
+    assert shifted.quads is prob.quads
+    res = qcqp_prox(prob, anchor, rho)
+    assert kkt_residual(shifted, res.y, res.lam) <= 1e-8
+    for name in stacks:
+        assert np.array_equal(getattr(prob, name), before[name])
+    # a metric changes the prox Hessian
+    metric = random_pd(rng, d)
+    assert np.array_equal(prob.prox_hessian(rho, metric)[0],
+                          prob.H + metric / rho)
+    assert np.array_equal(prob.prox_hessian(rho)[0], hess)
+    assert np.array_equal(prob.prox_hessian(2.0 * rho)[0],
+                          prob.H + np.eye(d) / (2.0 * rho))
+
+
+def test_new_problem_never_reuses_a_prox_hessian(rng):
+    # every stage builds a new problem, often where a freed one lived; each
+    # forms its own prox Hessian
+    d, rho = 3, 0.4
+    center = rng.uniform(-0.5, 0.5, d)
+    quads = mixed_rows(rng, d, ["affine", "scaled", "dense"], center)
+    lo, hi = np.full(d, -3.0), np.full(d, 3.0)
+    anchor = rng.normal(size=d)
+    for _ in range(20):
+        H = rng.uniform(0.2, 5.0) * random_pd(rng, d)
+        q = rng.normal(size=d)
+        prob = ConvexQcqp(H, q, lo, hi, quads)
+        got = qcqp_prox(prob, anchor, rho)
+        want = qcqp_solve(ConvexQcqp(H + np.eye(d) / rho, q - anchor / rho,
+                                     lo, hi, quads), y0=anchor)
+        assert np.max(np.abs(got.y - want.y)) <= 1e-9
+        assert np.array_equal(prob.prox_hessian(rho)[0],
+                              H + np.eye(d) / rho)
+        del prob
+        gc.collect()

@@ -108,6 +108,42 @@ def test_consensus_matches_lstsq(rng):
     assert np.allclose(means[2], manual, atol=1e-12)
 
 
+def test_consensus_sums_copies_in_agent_order(rng):
+    # each mean is its copies summed from zero in ascending agent order,
+    # bit for bit
+    p = 3
+    cfg = platoon_preset("small", n=5)
+    agents = formulate_local(cfg, weight_preset("small", p, n=5),
+                             cruise_state(cfg))
+    for a in agents:
+        a.z = rng.normal(size=a.dim)
+    means = _consensus(agents, LocalExchange(cfg.n))
+    for j, mean in means.items():
+        parts = [a.z[a.sl(a.blocks.index(j))] for a in agents
+                 if j in a.blocks]
+        assert mean.tobytes() == (sum(parts) / float(len(parts))).tobytes()
+
+
+def test_consensus_refuses_a_distant_copy(rng):
+    # agent 1 of a 4-vehicle platoon given a copy of block 3, which it is
+    # not adjacent to: the consensus layout refuses the route before any
+    # round runs
+    p = 2
+    cfg = platoon_preset("small", n=4)
+    agents = formulate_local(cfg, weight_preset("small", p, n=4),
+                             cruise_state(cfg))
+    a = agents[0]
+    a.span = (1, 3)
+    a.lo, a.hi = np.full(3 * p, -5.0), np.full(3 * p, 2.0)
+    a.z = rng.normal(size=3 * p)
+    net = LocalExchange(cfg.n)
+    with pytest.raises(LocalityError):
+        _consensus(agents, net)
+    with pytest.raises(LocalityError):
+        dr_round(agents, SolverConfig(), net)
+    assert net.messages == 0
+
+
 def test_transfer_returns_a_copy():
     net = LocalExchange(2)
     payload = np.ones(2)
@@ -277,8 +313,8 @@ def test_every_round_sends_four_messages_per_link(name, p):
 
 
 def test_capped_runs_are_counted(small):
-    # a splitting run has no residual after its first round, so a run cut
-    # at max_inner records max_inner - 1 residuals
+    # a run cut at max_inner counts max_inner rounds, the first round of a
+    # stage included, although that round has no residual to record
     st = offset_state(small)
     w1 = weight_preset("small", 1, n=small.n)
     d = solve_mpc(formulate_local(small, w1, st)).diagnostics
@@ -293,13 +329,13 @@ def test_capped_runs_are_counted(small):
     # the warm start's first attempt is capped and passes its guard
     d = solve_mpc(formulate_local(small, w3, st),
                   SolverConfig(max_inner=100)).diagnostics
-    assert d.lin_rounds == 99
+    assert d.lin_rounds == 100
     assert d.capped_runs == 1
     # the convergent scheme: the warm start and every stage are capped
     d = solve_mpc(formulate_local(small, w3, st),
                   SolverConfig(max_inner=10, tol_outer=1e-5,
                                tol_inner=1e-5)).diagnostics
-    assert d.inner_iters == 9 * d.outer_iters
+    assert d.inner_iters == 10 * d.outer_iters
     assert d.capped_runs == d.outer_iters + 1
 
 
