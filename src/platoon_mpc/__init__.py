@@ -13,9 +13,9 @@ from .convex import (ConvexQcqp, QcqpInfeasibleError, QcqpResult, box_prox,
                      kkt_residual, qcqp_prox, qcqp_solve)
 from .solver import (LocalExchange, LocalityError, MpcDiagnostics, MpcResult,
                      SolverConfig, WarmStartError, dr_round, formulate_local,
-                     lipschitz_estimates, plan_violation, scp_step,
-                     solve_centralized_linear, solve_centralized_p1,
-                     solve_mpc, warm_start_inner, warm_start_linear)
+                     plan_violation, scp_step, solve_centralized_linear,
+                     solve_centralized_p1, solve_mpc, warm_start_inner,
+                     warm_start_linear)
 from .loop import (ClosedLoopMatrices, Scenario, SimRecord, SimulationError,
                    TrackingState, brake_scenario, build_closed_loop,
                    cruise_scenario, equilibrium_we, h_tilde, initial_state,

@@ -381,14 +381,12 @@ def qcqp_solve(prob: ConvexQcqp, y0: np.ndarray | None = None,
             return QcqpResult(free, np.zeros(prob.n_con), prob.value(free),
                               "free")
         if warm is not None and warm.lam.size == prob.n_con:
-            idx = np.flatnonzero(warm.lam > 1e-9)
-            if idx.size:
-                yv, lam_a, ok = _kkt_newton(prob, warm.y, idx, warm.lam[idx])
-                if ok:
-                    done = _finish_active(prob, yv, idx, lam_a)
-                    if done is not None:
-                        return QcqpResult(done[0], done[1],
-                                          prob.value(done[0]), "warm")
+            active = warm.lam > 1e-9
+            done = (_polish(prob, warm.y, warm.lam, active)
+                    if np.any(active) else None)
+            if done is not None:
+                return QcqpResult(done[0], done[1], prob.value(done[0]),
+                                  "warm")
         fast = None if free is None else _active_set_solve(prob, free)
         if fast is not None:
             return fast

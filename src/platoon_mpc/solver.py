@@ -4,8 +4,11 @@ One agent runs per controlled vehicle.  An agent owns its control sequence
 and keeps working copies of its neighbors'; agreement between copies is
 reached by Douglas-Rachford splitting over the consensus subspace, with
 every cross-agent read carried by a message fabric that only links adjacent
-positions.  For a one-step horizon the problem is a convex QCQP and a
-single splitting run solves it.  For longer horizons the nonconvex speed
+positions.  The splitting iterates of all agents live in one
+SplittingState on the agents' SharedContext, as stacked vectors in
+ConsensusLayout order; agent i's local vector is the slice
+layout.slices[i - 1] of each.  For a one-step horizon the problem is a
+convex QCQP and a single splitting run solves it.  For longer horizons the nonconvex speed
 and safety rows are replaced by quadratic majorants around the current
 iterate and the resulting convex subproblems are re-solved until the
 iterates settle; the first iterate comes from the loss-free cost minimized
@@ -61,6 +64,10 @@ WARM_TOL = 1e-7
 # consecutive outer iterations collapses to its current point
 FREEZE_STEP = 1e-9
 FREEZE_ROUNDS = 2
+# scaling of the curvature bounds of the constraint-row majorants (1.0
+# makes them provably global for the row curvatures at hand, smaller
+# trades margin for speed)
+LIP_FACTOR = 0.9
 # the trailing zero the consensus average reads for a missing copy
 _ZERO = np.zeros(1)
 
@@ -76,9 +83,8 @@ class WarmStartError(RuntimeError):
 @dataclass
 class SolverConfig:
     """Knobs of the splitting scheme.  Tolerances default to the per-p
-    tables above; lip_factor scales the constraint-row majorants and the
-    NU table the cost majorant (1.0 makes both provably global for the
-    row curvatures at hand, smaller trades margin for speed)."""
+    tables above; the NU table scales the cost majorant and LIP_FACTOR
+    the constraint-row majorants."""
 
     alpha: float = 0.9
     rho: float = 0.1
@@ -86,7 +92,6 @@ class SolverConfig:
     tol_inner: float | None = None
     max_outer: int = 60
     max_inner: int = 500
-    lip_factor: float = 0.9
     feas_tol: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -122,14 +127,13 @@ class SolverConfig:
 
 class LocalExchange:
     """Message fabric between agents.  It refuses non-adjacent pairs and
-    counts traffic for the diagnostics: transfer() moves one payload; the
-    consensus rounds check their fixed routes once with check() and then
-    count each round, and its traffic, with record_round()."""
+    counts traffic for the diagnostics: the consensus rounds check their
+    fixed routes once with check() and then count each round, and its
+    messages, with record_round()."""
 
     def __init__(self, n: int):
         self.n = n
         self.messages = 0
-        self.floats = 0
         self.rounds = 0
 
     def check(self, src: int, dst: int) -> None:
@@ -139,15 +143,8 @@ class LocalExchange:
             raise LocalityError(
                 f"agents {src} and {dst} are not adjacent")
 
-    def transfer(self, src: int, dst: int, payload: np.ndarray) -> np.ndarray:
-        self.check(src, dst)
-        self.messages += 1
-        self.floats += payload.size
-        return np.array(payload, copy=True)
-
-    def record_round(self, messages: int, floats: int) -> None:
+    def record_round(self, messages: int) -> None:
         self.messages += messages
-        self.floats += floats
         self.rounds += 1
 
 
@@ -155,8 +152,8 @@ class LocalExchange:
 class SharedContext:
     """Problem data common to all agents for the current step.  The
     quadratic weights and their decomposition never change between steps;
-    the linear terms and local costs follow the state.  The consensus
-    layout is built by the first consensus round."""
+    the linear terms and local costs follow the state.  The splitting
+    state is built on first use (see _splitting)."""
 
     config: PlatoonConfig
     weights: WeightSchedule
@@ -165,14 +162,15 @@ class SharedContext:
     model: QuadraticModel
     objectives: list[LocalObjective]
     state: PlatoonState
-    layout: "ConsensusLayout | None" = None
+    split: "SplittingState | None" = None
 
 
 @dataclass
 class AgentState:
-    """One agent: vehicle index, the stacked local vector (own block plus
-    neighbor copies, blocks ascending), splitting iterates and the data of
-    the current convex subproblem."""
+    """One agent: vehicle index, the layout of its local vector (own block
+    plus neighbor copies, blocks ascending) and the data of its current
+    convex subproblem.  Its splitting iterates are the slice
+    shared.split.layout.slices[i - 1] of the stacked SplittingState."""
 
     i: int
     span: tuple[int, int]
@@ -180,37 +178,14 @@ class AgentState:
     lo: np.ndarray
     hi: np.ndarray
     shared: SharedContext
-    u_hat: np.ndarray = None
-    z: np.ndarray = None
-    w: np.ndarray | None = None
-    w_prev: np.ndarray | None = None
-    y_last: np.ndarray | None = None
-    base: np.ndarray = None
-    olo: np.ndarray = None
-    ohi: np.ndarray = None
     problem: ConvexQcqp | None = None
     grad_J: np.ndarray | None = None
     L_J: float = 0.0
     warm: QcqpResult | None = None
     metric: np.ndarray | None = None
-    carry_z: np.ndarray | None = None
     frozen: bool = False
     still: int = 0
     prox_calls: int = 0
-    prox_time: float = 0.0
-
-    def __post_init__(self) -> None:
-        d = self.lo.size
-        if self.u_hat is None:
-            self.u_hat = np.zeros(d)
-        if self.z is None:
-            self.z = np.zeros(d)
-        if self.base is None:
-            self.base = np.zeros(d)
-        if self.olo is None:
-            self.olo = self.lo.copy()
-        if self.ohi is None:
-            self.ohi = self.hi.copy()
 
     @property
     def blocks(self) -> list[int]:
@@ -295,32 +270,38 @@ def _tracking(config: PlatoonConfig, state: PlatoonState, i: int):
             float(zp[i - 1]))
 
 
-def _prev_controls(a: AgentState) -> np.ndarray:
-    """The predecessor sequence seen by agent i's safety rows: its local
-    copy, or the constant leader control for the first vehicle."""
+def _prev_controls(a: AgentState, u_loc: np.ndarray) -> np.ndarray:
+    """The predecessor sequence seen by agent i's safety rows: its copy in
+    the local vector u_loc, or the constant leader control for the first
+    vehicle."""
     if a.i == 1:
         return np.full(a.p, a.shared.state.u0)
-    return a.u_hat[a.sl(a.own_pos - 1)]
+    return u_loc[a.sl(a.own_pos - 1)]
 
 
 # ---------------------------------------------------------------------------
 # consensus and splitting rounds
 
 class ConsensusLayout:
-    """Index plan of the consensus average for the agents' fixed layout.
-    Every round stacks the agents' z vectors (plus one trailing zero) and
+    """Index plan of the stacked splitting vectors for the agents' fixed
+    layout: agent i's local vector is the slice slices[i - 1].  The
+    consensus average appends one trailing zero to the stacked z and
     reads, for each entry of each block, its copies in ascending agent
     order: row h of copy_idx is the h-th holder's copy, or the trailing
-    zero when the block has fewer holders.  scatter hands each agent the
-    means of its blocks.  Building the plan checks every route against the
-    message fabric, so a copy held beyond a neighbor raises LocalityError;
-    a round then sends one message out and one back per held copy."""
+    zero when the block has fewer holders.  scatter maps every stacked
+    entry to its entry of the flat (n, p) plan, own maps the plan back to
+    each owner's block, and owner maps every stacked entry to the owner's
+    copy of it.  Building the plan checks every route against the message
+    fabric, so a copy held beyond a neighbor raises LocalityError; a
+    round then sends one message out and one back per held copy."""
 
-    def __init__(self, agents: list[AgentState], net: LocalExchange):
+    def __init__(self, agents: list[AgentState]):
         p, n = agents[0].p, len(agents)
+        net = LocalExchange(n)
         # (agent, start of its copy in the stacked z) for every block
         holders: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self.slices = []
+        self.own = np.empty(n * p, dtype=int)
         start = copies = 0
         for a in agents:
             for pos, j in enumerate(a.blocks):
@@ -329,6 +310,8 @@ class ConsensusLayout:
                     net.check(j, a.i)
                     copies += 1
                 holders[j - 1].append((a.i, start + pos * p))
+            self.own[(a.i - 1) * p:a.i * p] = (start + a.own_pos * p
+                                               + np.arange(p))
             self.slices.append(slice(start, start + a.dim))
             start += a.dim
         self.copy_idx = np.full((max(map(len, holders)), n * p), start)
@@ -338,85 +321,101 @@ class ConsensusLayout:
         self.count = np.repeat([float(len(held)) for held in holders], p)
         self.scatter = np.concatenate(
             [np.arange((j - 1) * p, j * p) for a in agents for j in a.blocks])
+        self.owner = self.own[self.scatter]
         self.messages = 2 * copies
-        self.floats = 2 * copies * p
+        self.shape = (n, p)
 
 
-def _average(agents: list[AgentState], net: LocalExchange):
+class SplittingState:
+    """The splitting iterates of all agents, stacked in layout order:
+    u_hat, the point the current stage is linearized at; base, the stage's
+    origin, and olo/ohi, the boxes in offsets from it; the consensus
+    iterate z, the average w and the previous one w_prev; y, the last prox
+    outputs; carry_z, the z that the last p = 1 run or warm start ended
+    with, from which the next step's run resumes.  w, w_prev and y are
+    None until the rounds of the current stage have produced them."""
+
+    def __init__(self, agents: list[AgentState]):
+        self.layout = ConsensusLayout(agents)
+        self.lo = np.concatenate([a.lo for a in agents])
+        self.hi = np.concatenate([a.hi for a in agents])
+        self.u_hat = np.zeros(self.lo.size)
+        self.base = np.zeros(self.lo.size)
+        self.olo = self.lo.copy()
+        self.ohi = self.hi.copy()
+        self.z = np.zeros(self.lo.size)
+        self.w = self.w_prev = self.y = self.carry_z = None
+
+
+def _splitting(agents: list[AgentState]) -> SplittingState:
+    """The agents' splitting state, built on first use, which checks every
+    route (see ConsensusLayout)."""
+    sh = agents[0].shared
+    if sh.split is None:
+        sh.split = SplittingState(agents)
+    return sh.split
+
+
+def _average(st: SplittingState, net: LocalExchange) -> np.ndarray:
     """Average every vehicle's copies at its owner and hand the mean back.
     Copies are summed in ascending agent order, starting from zero, so
-    the result does not depend on agent scheduling.  Sets every agent's w
-    (and w_prev); returns the agents' z, the block means and the agents'
-    w, each stacked."""
-    sh = agents[0].shared
-    if sh.layout is None:
-        sh.layout = ConsensusLayout(agents, net)
-    lay = sh.layout
-    z = np.concatenate([a.z for a in agents] + [_ZERO])
-    copies = z[lay.copy_idx]
+    the result does not depend on agent scheduling.  Sets w (and w_prev)
+    and returns the block means as a flat (n, p) plan."""
+    lay = st.layout
+    copies = np.concatenate((st.z, _ZERO))[lay.copy_idx]
     total = 0.0 + copies[0]
     for row in copies[1:]:
         total += row
     means = total / lay.count
-    w = means[lay.scatter]
-    for a, sl in zip(agents, lay.slices):
-        a.w_prev, a.w = a.w, w[sl]
-    net.record_round(lay.messages, lay.floats)
-    return z[:-1], means, w
+    st.w_prev, st.w = st.w, means[lay.scatter]
+    net.record_round(lay.messages)
+    return means
 
 
 def _consensus(agents: list[AgentState], net: LocalExchange) -> dict:
     """The consensus average (see _average), as {block: mean}."""
-    _, means, _ = _average(agents, net)
+    means = _average(_splitting(agents), net)
     p = agents[0].p
     return {j + 1: means[j * p:(j + 1) * p] for j in range(means.size // p)}
 
 
-def _agent_prox(a: AgentState, anchor: np.ndarray,
-                options: SolverConfig) -> np.ndarray:
+def _agent_prox(a: AgentState, anchor: np.ndarray, olo: np.ndarray,
+                ohi: np.ndarray, options: SolverConfig) -> np.ndarray:
     if a.frozen:
         # the agent's set collapsed to its current point
         return np.zeros_like(anchor)
-    t0 = time.perf_counter()
+    a.prox_calls += 1
     rho = options.rho if a.metric is None else RHO_METRIC
+    if a.problem is None:
+        lin = a.grad_J if a.grad_J is not None else np.zeros(a.dim)
+        return box_prox(np.full(a.dim, a.L_J + 1.0 / rho),
+                        lin - anchor / rho, olo, ohi)
     try:
-        if a.problem is None:
-            lin = a.grad_J if a.grad_J is not None else np.zeros(a.dim)
-            y = box_prox(np.full(a.dim, a.L_J + 1.0 / rho),
-                         lin - anchor / rho, a.olo, a.ohi)
-        else:
-            res = qcqp_prox(a.problem, anchor, rho, warm=a.warm,
-                            metric=a.metric)
-            a.warm = res
-            y = res.y
+        a.warm = qcqp_prox(a.problem, anchor, rho, warm=a.warm,
+                           metric=a.metric)
     except QcqpInfeasibleError as err:
         raise QcqpInfeasibleError(f"agent {a.i}: {err}") from err
-    finally:
-        a.prox_time += time.perf_counter() - t0
-        a.prox_calls += 1
-    return y
+    return a.warm.y
 
 
 def dr_round(agents: list[AgentState], options: SolverConfig,
              net: LocalExchange | None = None) -> float:
     """One synchronous splitting round: average the copies, then every
-    agent applies its prox to the reflected iterate.  Returns the largest
-    change of any agent's consensus iterate (inf on the first round)."""
+    agent applies its prox to its slice of the reflected iterate.  Returns
+    the largest change of the consensus average (inf on the first round
+    of a stage)."""
     if net is None:
         net = LocalExchange(len(agents))
-    z, _, w = _average(agents, net)
+    st = _splitting(agents)
+    _average(st, net)
     resid = np.inf
-    if all(a.w_prev is not None for a in agents):
-        resid = float(np.max(np.abs(
-            w - np.concatenate([a.w_prev for a in agents]))))
-    # the arithmetic runs on the stacked vectors; each agent keeps a slice
-    slices = agents[0].shared.layout.slices
-    anchor = 2.0 * w - z
-    ys = [_agent_prox(a, anchor[sl], options)
-          for a, sl in zip(agents, slices)]
-    z = z + 2.0 * options.alpha * (np.concatenate(ys) - w)
-    for a, sl, y in zip(agents, slices, ys):
-        a.y_last, a.z = y, z[sl]
+    if st.w_prev is not None:
+        resid = float(np.max(np.abs(st.w - st.w_prev)))
+    anchor = 2.0 * st.w - st.z
+    st.y = np.concatenate([
+        _agent_prox(a, anchor[sl], st.olo[sl], st.ohi[sl], options)
+        for a, sl in zip(agents, st.layout.slices)])
+    st.z = st.z + 2.0 * options.alpha * (st.y - st.w)
     return resid
 
 
@@ -450,71 +449,56 @@ def _run_rounds(agents, options, net, tol, max_rounds, window=0):
     return trace, converged
 
 
-def _begin_stage(agents: list[AgentState], base_by_block: dict | None,
-                 seed: str = "zero") -> None:
-    """Reset the splitting state for a new stage.  All copies of a block
-    share one base vector, so consensus in offset coordinates is exact.
-    The "shift" seed keeps the last stage's state and moves it to offsets
-    from the new base."""
-    for a in agents:
-        old_base = a.base
-        if base_by_block is None:
-            a.base = np.zeros(a.dim)
-        else:
-            a.base = np.concatenate([base_by_block[j] for j in a.blocks])
-        a.olo = a.lo - a.base
-        a.ohi = a.hi - a.base
-        if seed == "shift":
-            a.z = a.z + old_base - a.base
-        elif seed == "carry" and a.carry_z is not None:
-            a.z = a.carry_z.copy()
-        else:
-            a.z = np.zeros(a.dim)
-        a.w = None
-        a.w_prev = None
-        a.y_last = None
+def _begin_stage(agents: list[AgentState], plan: np.ndarray | None,
+                 seed: str = "zero") -> SplittingState:
+    """Reset the splitting state for a new stage around the (n, p) plan,
+    or around zero, and return it.  All copies of a block share one base
+    vector, so consensus in offset coordinates is exact.  The "shift" seed
+    keeps the last stage's state and moves it to offsets from the new
+    base."""
+    st = _splitting(agents)
+    old_base = st.base
+    st.base = (np.zeros(st.lo.size) if plan is None
+               else plan.ravel()[st.layout.scatter])
+    st.olo = st.lo - st.base
+    st.ohi = st.hi - st.base
+    if seed == "shift":
+        st.z = st.z + old_base - st.base
+    elif seed == "carry" and st.carry_z is not None:
+        st.z = st.carry_z.copy()
+    else:
+        st.z = np.zeros(st.lo.size)
+    st.w = st.w_prev = st.y = None
+    return st
 
 
-def _collect_plan(agents: list[AgentState]) -> np.ndarray:
+def _collect_plan(st: SplittingState) -> np.ndarray:
     """The per-vehicle control sequences at the current consensus point."""
-    return np.vstack([a.own(a.base + a.w) for a in agents])
+    return (st.base + st.w)[st.layout.own].reshape(st.layout.shape)
 
 
-def _collect_prox_plan(agents: list[AgentState]) -> np.ndarray:
+def _collect_prox_plan(st: SplittingState) -> np.ndarray:
     """Per-vehicle control sequences read from each owner's last prox
     output.  When a constraint row is active the consensus average sits
     slightly outside the feasible set, while the prox point satisfies the
     owner's rows by construction, so the returned plan is the one to
     check and apply."""
-    rows = []
-    for a in agents:
-        y = a.y_last if a.y_last is not None else a.w
-        rows.append(a.own(a.base + y))
-    return np.vstack(rows)
+    y = st.y if st.y is not None else st.w
+    return (st.base + y)[st.layout.own].reshape(st.layout.shape)
 
 
-def _consensus_gap(agents: list[AgentState]) -> float:
+def _consensus_gap(st: SplittingState) -> float:
     """Worst disagreement between a prox copy and the owner's prox block."""
-    gap = 0.0
-    for a in agents:
-        if a.y_last is None:
-            continue
-        for pos, j in enumerate(a.blocks):
-            if j == a.i:
-                continue
-            other = agents[j - 1]
-            if other.y_last is None:
-                continue
-            d = a.y_last[a.sl(pos)] - other.own(other.y_last)
-            gap = max(gap, float(np.max(np.abs(d))))
-    return gap
+    if st.y is None:
+        return 0.0
+    return float(np.max(np.abs(st.y - st.y[st.layout.owner])))
 
 
-def _stationarity(agents: list[AgentState]) -> float:
+def _stationarity(st: SplittingState) -> float:
     """Fixed-point gap of the splitting at exit: prox output vs consensus."""
-    vals = [float(np.max(np.abs(a.y_last - a.w)))
-            for a in agents if a.y_last is not None and a.w is not None]
-    return max(vals) if vals else np.inf
+    if st.y is None or st.w is None:
+        return np.inf
+    return float(np.max(np.abs(st.y - st.w)))
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +646,7 @@ def warm_start_linear(agents: list[AgentState],
     rounds0 = net.rounds
     for a in agents:
         a.problem = _linear_problem(a)
-    _begin_stage(agents, None, seed="carry")
+    st = _begin_stage(agents, None, seed="carry")
     tol = LIN_TOL
     full_trace = []
     capped = 0
@@ -671,7 +655,7 @@ def warm_start_linear(agents: list[AgentState],
                                   options.max_inner)
         full_trace += trace
         capped += not conv
-        plan = _collect_plan(agents)
+        plan = _collect_plan(st)
         gap = plan_violation(sh.config, sh.state, plan, sh.struct)
         if gap <= GUARD_TOL:
             break
@@ -684,10 +668,9 @@ def warm_start_linear(agents: list[AgentState],
         diag.lin_rounds = net.rounds - rounds0
         diag.capped_runs += capped
         diag.residual_trace["linear"] = [float(r) for r in full_trace]
-    means = {j + 1: plan[j] for j in range(len(agents))}
+    st.carry_z = st.z.copy()
+    st.u_hat = plan.ravel()[st.layout.scatter]
     for a in agents:
-        a.carry_z = a.z.copy()
-        a.u_hat = np.concatenate([means[j] for j in a.blocks])
         a.problem = None
     return plan
 
@@ -695,59 +678,22 @@ def warm_start_linear(agents: list[AgentState],
 # ---------------------------------------------------------------------------
 # linearization of one outer step
 
-def lipschitz_estimates(agents: list[AgentState],
-                        options: SolverConfig | None = None) -> list[dict]:
-    """Curvature bounds at the current iterates: nu * ||local cost
-    Hessian|| for the cost and lip_factor * ||row Hessian|| for each
-    constraint row (upper speed rows are concave in no direction that
-    matters: they enter through their convex negatives and need none)."""
-    options = options or SolverConfig()
-    out = []
-    for a in agents:
-        sh = a.shared
-        p = a.p
-        par = sh.config.vehicles[a.i - 1]
-        prev = _prev_of(sh.config, a.i)
-        v, _, _, _ = _tracking(sh.config, sh.state, a.i)
-        u_by_block = [a.u_hat[a.sl(b)] for b in range(len(a.blocks))]
-        hj = local_objective_hessian(sh.objectives[a.i - 1], u_by_block)
-        l_obj = options.nu_for(p) * float(
-            np.max(np.abs(np.linalg.eigvalsh(hj))))
-        u_own = a.own(a.u_hat)
-        own_h, prev_h = safety_constraint_hessians(
-            sh.config, par, prev, v, u_own, sh.struct)
-        tau = sh.config.tau
-        s_p = np.tril(np.ones((p, p)))
-        speed_lo = []
-        d2 = np.zeros((p, p))
-        for j in range(p):
-            if j > 0:
-                d2 = d2 + 2.0 * tau ** 3 * par.drag * np.outer(
-                    s_p[j - 1], s_p[j - 1])
-            speed_lo.append(options.lip_factor * float(
-                np.max(np.abs(np.linalg.eigvalsh(d2)))) if j > 0 else 0.0)
-        safety = [options.lip_factor * float(max(
-            np.max(np.abs(np.linalg.eigvalsh(own_h[j]))),
-            np.max(np.abs(np.linalg.eigvalsh(prev_h[j])))))
-            for j in range(p)]
-        out.append({"objective": l_obj, "speed_lower": speed_lo,
-                    "safety": safety})
-    return out
-
-
 def scp_step(agents: list[AgentState],
              options: SolverConfig | None = None) -> None:
     """Relinearize every active agent at its current iterate: gradient and
-    curvature bound of the local cost, plus one quadratic majorant row per
-    speed/safety constraint, all expressed in offsets from the iterate.
-    The convergent scheme models the cost by its Hessian instead, with the
-    negative eigenvalues clipped to zero: the summed models bound the
-    cost's curvature from above at the iterate, and the stages take
-    Newton-like steps instead of crawling along the lightly weighted
-    horizon steps."""
+    curvature bound nu * ||local cost Hessian|| of the local cost, plus
+    one quadratic majorant row per speed/safety constraint, all expressed
+    in offsets from the iterate.  The lower speed and the safety rows
+    carry LIP_FACTOR times the norm of their Hessian as curvature; the
+    upper speed rows are concave in no direction that matters and enter
+    through their convex negatives, which need none.  The convergent
+    scheme models the cost by its Hessian instead, with the negative
+    eigenvalues clipped to zero: the summed models bound the cost's
+    curvature from above at the iterate, and the stages take Newton-like
+    steps instead of crawling along the lightly weighted horizon steps."""
     options = options or SolverConfig()
-    lips = lipschitz_estimates(agents, options)
-    for a, lp in zip(agents, lips):
+    st = _splitting(agents)
+    for a, sl in zip(agents, st.layout.slices):
         if a.frozen:
             a.problem = None
             continue
@@ -757,19 +703,36 @@ def scp_step(agents: list[AgentState],
         par = sh.config.vehicles[a.i - 1]
         prev = _prev_of(sh.config, a.i)
         v, v_prev, z, zp = _tracking(sh.config, sh.state, a.i)
-        u_own = a.own(a.u_hat)
-        u_prev = _prev_controls(a)
+        u_loc = st.u_hat[sl]
+        u_own = u_loc[own_sl]
+        u_prev = _prev_controls(a, u_loc)
 
-        u_by_block = [a.u_hat[a.sl(b)] for b in range(len(a.blocks))]
+        u_by_block = [u_loc[a.sl(b)] for b in range(len(a.blocks))]
         _, grads = local_objective(sh.objectives[a.i - 1], u_by_block)
+        hj = local_objective_hessian(sh.objectives[a.i - 1], u_by_block)
         a.grad_J = np.concatenate(grads)
-        a.L_J = lp["objective"]
+        a.L_J = options.nu_for(p) * float(
+            np.max(np.abs(np.linalg.eigvalsh(hj))))
         if options.convergent:
-            vals, vecs = np.linalg.eigh(
-                local_objective_hessian(sh.objectives[a.i - 1], u_by_block))
+            vals, vecs = np.linalg.eigh(hj)
             model = (vecs * np.maximum(vals, 0.0)) @ vecs.T
         else:
             model = a.L_J * np.eye(dim)
+
+        own_h, prev_h = safety_constraint_hessians(
+            sh.config, par, prev, v, u_own, sh.struct)
+        s_p = np.tril(np.ones((p, p)))
+        speed_lo = [0.0]
+        d2 = np.zeros((p, p))
+        for j in range(1, p):
+            d2 = d2 + 2.0 * sh.config.tau ** 3 * par.drag * np.outer(
+                s_p[j - 1], s_p[j - 1])
+            speed_lo.append(LIP_FACTOR * float(
+                np.max(np.abs(np.linalg.eigvalsh(d2)))))
+        safety = [LIP_FACTOR * float(max(
+            np.max(np.abs(np.linalg.eigvalsh(own_h[j]))),
+            np.max(np.abs(np.linalg.eigvalsh(prev_h[j])))))
+            for j in range(p)]
 
         q, q_grad = speed_constraint_fn(sh.config, par, v, u_own)
         h, g_own, g_prev = safety_constraint_fn(
@@ -777,7 +740,7 @@ def scp_step(agents: list[AgentState],
         quads = []
         for j in range(p):
             b = _embed(dim, [(own_sl, -q_grad[j])])
-            quads.append((lp["speed_lower"][j] * np.eye(dim), b,
+            quads.append((speed_lo[j] * np.eye(dim), b,
                           float(sh.config.speed_min - q[j])))
         for j in range(p):
             b = _embed(dim, [(own_sl, q_grad[j])])
@@ -788,9 +751,9 @@ def scp_step(agents: list[AgentState],
             if a.i > 1:
                 parts.append((a.sl(a.own_pos - 1), g_prev[j]))
             b = _embed(dim, parts)
-            quads.append((lp["safety"][j] * np.eye(dim), b, float(h[j])))
+            quads.append((safety[j] * np.eye(dim), b, float(h[j])))
         a.problem = ConvexQcqp(model, a.grad_J.copy(),
-                               a.lo - a.u_hat, a.hi - a.u_hat, quads)
+                               a.lo - u_loc, a.hi - u_loc, quads)
 
 
 def warm_start_inner(agents: list[AgentState],
@@ -839,7 +802,6 @@ class MpcDiagnostics:
     converged: bool = False
     feasible: bool = False
     wall_time: float = 0.0
-    agent_time: list = field(default_factory=list)
     residual_trace: dict = field(default_factory=dict)
 
 
@@ -889,12 +851,11 @@ def solve_mpc(agents: list[AgentState],
         a.frozen = False
         a.still = 0
         a.prox_calls = 0
-        a.prox_time = 0.0
 
     if p == 1:
         for a in agents:
             a.problem = _p1_problem(a)
-        _begin_stage(agents, None, seed="carry")
+        st = _begin_stage(agents, None, seed="carry")
         tol = options.outer_tol_for(1)
         traces = []
         for attempt in range(GUARD_RETRIES + 1):
@@ -902,16 +863,13 @@ def solve_mpc(agents: list[AgentState],
                                       options.max_inner)
             traces += trace
             diag.capped_runs += not conv
-            plan = _collect_prox_plan(agents)
+            plan = _collect_prox_plan(st)
             viol = plan_violation(sh.config, sh.state, plan, sh.struct)
             if viol <= options.feas_tol or not conv:
                 break
             diag.guard_rounds += 1
             tol /= 10.0
-        for a in agents:
-            a.carry_z = a.z.copy()
-            a.u_hat = np.concatenate(
-                [plan[j - 1] for j in a.blocks])
+        st.carry_z = st.z.copy()
         diag.outer_iters = 1
         diag.inner_residual = traces[-1] if traces else np.inf
         diag.outer_step = diag.inner_residual
@@ -922,6 +880,7 @@ def solve_mpc(agents: list[AgentState],
             a.metric = (_block_metric(sh.model, a.span)
                         if options.convergent else None)
         plan = warm_start_linear(agents, options, net, diag)
+        st = _splitting(agents)
         diag.residual_trace["inner"] = []
         step = np.inf
         tol_outer = options.outer_tol_for(p)
@@ -929,16 +888,15 @@ def solve_mpc(agents: list[AgentState],
         conv = False
         for k in range(options.max_outer):
             scp_step(agents, options)
-            base = {a.i: a.own(a.u_hat).copy() for a in agents}
             if options.convergent:
                 # the rounds resume from the warm start's state, then from
                 # the last stage's, which sit near the next fixed point
-                _begin_stage(agents, base, seed="shift")
+                _begin_stage(agents, plan, seed="shift")
                 trace, inner_ok = _run_rounds(agents, options, net,
                                               tol_inner, options.max_inner,
                                               window=RATE_WINDOW)
             else:
-                _begin_stage(agents, base, seed="zero")
+                _begin_stage(agents, plan, seed="zero")
                 rounds0 = net.rounds
                 warm_start_inner(agents, options, net)
                 diag.warm_rounds += net.rounds - rounds0
@@ -948,33 +906,29 @@ def solve_mpc(agents: list[AgentState],
             diag.residual_trace["inner"].append(
                 [float(r) for r in trace])
             diag.inner_residual = trace[-1] if trace else np.inf
-            means = {j + 1: row for j, row in
-                     enumerate(_collect_plan(agents))}
-            step = 0.0
-            scale = 0.0
-            for a in agents:
-                new_local = np.concatenate([means[j] for j in a.blocks])
-                a_step = float(np.max(np.abs(new_local - a.u_hat)))
-                step = max(step, a_step)
-                scale = max(scale, float(np.max(np.abs(new_local))))
+            plan = _collect_plan(st)
+            u_hat = plan.ravel()[st.layout.scatter]
+            moved = np.abs(u_hat - st.u_hat)
+            starts = [sl.start for sl in st.layout.slices]
+            for a, a_step in zip(agents, np.maximum.reduceat(moved, starts)):
                 if a_step <= FREEZE_STEP:
                     a.still += 1
                     if a.still >= FREEZE_ROUNDS:
                         a.frozen = True
                 else:
                     a.still = 0
-                a.u_hat = new_local
-            iter_plan = np.vstack([a.own(a.u_hat) for a in agents])
+            step = float(np.max(moved))
+            scale = float(np.max(np.abs(u_hat)))
+            st.u_hat = u_hat
             diag.residual_trace.setdefault("outer_violation", []).append(
-                float(plan_violation(sh.config, sh.state, iter_plan,
-                                     sh.struct)))
+                float(plan_violation(sh.config, sh.state, plan, sh.struct)))
             diag.outer_iters = k + 1
             if _outer_converged(p, step, scale, tol_outer):
                 conv = True
                 break
         diag.outer_step = step
         diag.converged = conv
-        plan = _collect_prox_plan(agents)
+        plan = _collect_prox_plan(st)
         viol = plan_violation(sh.config, sh.state, plan, sh.struct)
         for attempt in range(GUARD_RETRIES):
             if viol <= options.feas_tol:
@@ -984,22 +938,18 @@ def solve_mpc(agents: list[AgentState],
             _, conv = _run_rounds(agents, options, net, tol_inner,
                                   options.max_inner)
             diag.capped_runs += not conv
-            means = {j + 1: row for j, row in
-                     enumerate(_collect_plan(agents))}
-            for a in agents:
-                a.u_hat = np.concatenate([means[j] for j in a.blocks])
-            plan = _collect_prox_plan(agents)
+            st.u_hat = _collect_plan(st).ravel()[st.layout.scatter]
+            plan = _collect_prox_plan(st)
             viol = plan_violation(sh.config, sh.state, plan, sh.struct)
 
     diag.inner_iters = net.rounds - diag.lin_rounds - diag.warm_rounds
     diag.violation = plan_violation(sh.config, sh.state, plan, sh.struct)
     diag.feasible = diag.violation <= options.feas_tol
-    diag.stationarity = _stationarity(agents)
-    diag.consensus_gap = _consensus_gap(agents)
+    diag.stationarity = _stationarity(st)
+    diag.consensus_gap = _consensus_gap(st)
     diag.prox_calls = sum(a.prox_calls for a in agents)
     diag.messages = net.messages
     diag.frozen = sum(a.frozen for a in agents)
-    diag.agent_time = [a.prox_time for a in agents]
     diag.wall_time = time.perf_counter() - t0
     return MpcResult(u_plan=plan, diagnostics=diag)
 

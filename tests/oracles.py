@@ -153,6 +153,26 @@ def w_star_reference(config, weights, z, zp, v0, u0):
     return w_hat + w_e
 
 
+def consensus_gap_by_copies(agents, ys):
+    """Worst disagreement between any agent's copy of a block and the
+    block's owner, by a loop over every agent and every copy it holds;
+    ys[k] is agent k+1's local vector."""
+    gap = 0.0
+    for a, y in zip(agents, ys):
+        for pos, j in enumerate(a.blocks):
+            if j == a.i:
+                continue
+            owner = agents[j - 1]
+            d = y[a.sl(pos)] - owner.own(ys[j - 1])
+            gap = max(gap, float(np.max(np.abs(d))))
+    return gap
+
+
+def stationarity_by_agent(ys, ws):
+    """Largest gap between each agent's prox output and its average."""
+    return max(float(np.max(np.abs(y - w))) for y, w in zip(ys, ws))
+
+
 def horizon_minimizer(config, weights, state, x0):
     """Minimizer of the horizon problem the distributed solver works on,
     found as one centralized program by scipy's SLSQP from the (n, p) plan

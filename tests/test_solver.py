@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import cruise_state
-from oracles import (horizon_minimizer, projection_by_lstsq,
+from oracles import (consensus_gap_by_copies, horizon_minimizer,
+                     projection_by_lstsq, stationarity_by_agent,
                      w_star_reference)
 from platoon_mpc.assembly import (assemble_quadratic_model,
                                   safety_constraint_fn, speed_constraint_fn)
@@ -18,9 +19,10 @@ from platoon_mpc.platoon import GRAVITY, PlatoonState
 from platoon_mpc.presets import platoon_preset, weight_preset
 from platoon_mpc.solver import (
     INNER_TOL, NU, OUTER_TOL, LocalExchange, LocalityError, SolverConfig,
-    _begin_stage, _consensus, _run_rounds, dr_round, formulate_local,
-    plan_violation, scp_step, solve_centralized_linear, solve_centralized_p1,
-    solve_mpc, warm_start_linear,
+    _begin_stage, _consensus, _consensus_gap, _run_rounds, _splitting,
+    _stationarity, dr_round, formulate_local, plan_violation, scp_step,
+    solve_centralized_linear, solve_centralized_p1, solve_mpc,
+    warm_start_linear,
 )
 
 
@@ -65,19 +67,22 @@ def test_config_validation():
 
 
 def test_exchange_rejects_distant_pairs():
+    # checking a route counts no traffic; only record_round does
     net = LocalExchange(4)
-    payload = np.zeros(3)
-    net.transfer(2, 3, payload)
-    net.transfer(3, 2, payload)
-    net.transfer(1, 1, payload)
+    net.check(2, 3)
+    net.check(3, 2)
+    net.check(1, 1)
     with pytest.raises(LocalityError):
-        net.transfer(1, 3, payload)
+        net.check(1, 3)
     with pytest.raises(LocalityError):
-        net.transfer(0, 1, payload)
+        net.check(0, 1)
     with pytest.raises(LocalityError):
-        net.transfer(4, 5, payload)
-    assert net.messages == 3
-    assert net.floats == 9
+        net.check(4, 5)
+    assert net.messages == 0
+    assert net.rounds == 0
+    net.record_round(6)
+    assert net.messages == 6
+    assert net.rounds == 1
 
 
 def test_consensus_matches_lstsq(rng):
@@ -89,21 +94,19 @@ def test_consensus_matches_lstsq(rng):
     agents = formulate_local(cfg, weight_preset("small", p, n=4),
                              cruise_state(cfg))
     layout = [a.blocks for a in agents]
-    for a in agents:
-        a.z = rng.normal(size=a.dim)
-    z = [a.z.copy() for a in agents]
+    st = _splitting(agents)
+    st.z = rng.normal(size=st.z.size)
+    z = [st.z[sl].copy() for sl in st.layout.slices]
     net = LocalExchange(cfg.n)
     means = _consensus(agents, net)
-    got = np.concatenate([a.w for a in agents])
+    got = st.w
     ref = projection_by_lstsq(layout, np.concatenate(z), p)
     assert np.max(np.abs(got - ref)) <= 1e-9
     assert net.messages == 4 * (cfg.n - 1)
     # idempotent, and each mean is the average of its copies
-    for a in agents:
-        a.z = a.w.copy()
+    st.z = st.w.copy()
     _consensus(agents, net)
-    assert np.max(np.abs(np.concatenate([a.w for a in agents]) - got)) \
-        <= 1e-12
+    assert np.max(np.abs(st.w - got)) <= 1e-12
     manual = (z[0][p:] + z[1][p:2 * p] + z[2][:p]) / 3.0
     assert np.allclose(means[2], manual, atol=1e-12)
 
@@ -115,19 +118,20 @@ def test_consensus_sums_copies_in_agent_order(rng):
     cfg = platoon_preset("small", n=5)
     agents = formulate_local(cfg, weight_preset("small", p, n=5),
                              cruise_state(cfg))
-    for a in agents:
-        a.z = rng.normal(size=a.dim)
+    st = _splitting(agents)
+    st.z = rng.normal(size=st.z.size)
     means = _consensus(agents, LocalExchange(cfg.n))
     for j, mean in means.items():
-        parts = [a.z[a.sl(a.blocks.index(j))] for a in agents
+        parts = [st.z[sl][a.sl(a.blocks.index(j))]
+                 for a, sl in zip(agents, st.layout.slices)
                  if j in a.blocks]
         assert mean.tobytes() == (sum(parts) / float(len(parts))).tobytes()
 
 
-def test_consensus_refuses_a_distant_copy(rng):
+def test_consensus_refuses_a_distant_copy():
     # agent 1 of a 4-vehicle platoon given a copy of block 3, which it is
-    # not adjacent to: the consensus layout refuses the route before any
-    # round runs
+    # not adjacent to: building the splitting state's layout refuses the
+    # route before any round runs
     p = 2
     cfg = platoon_preset("small", n=4)
     agents = formulate_local(cfg, weight_preset("small", p, n=4),
@@ -135,7 +139,6 @@ def test_consensus_refuses_a_distant_copy(rng):
     a = agents[0]
     a.span = (1, 3)
     a.lo, a.hi = np.full(3 * p, -5.0), np.full(3 * p, 2.0)
-    a.z = rng.normal(size=3 * p)
     net = LocalExchange(cfg.n)
     with pytest.raises(LocalityError):
         _consensus(agents, net)
@@ -144,12 +147,45 @@ def test_consensus_refuses_a_distant_copy(rng):
     assert net.messages == 0
 
 
-def test_transfer_returns_a_copy():
-    net = LocalExchange(2)
-    payload = np.ones(2)
-    got = net.transfer(1, 2, payload)
-    got[0] = 7.0
-    assert payload[0] == 1.0
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("p", [1, 3])
+def test_exit_gaps_match_per_copy_loops(n, p, rng):
+    # the stacked consensus gap and stationarity equal the per-agent,
+    # per-copy loops on random splitting states
+    cfg = platoon_preset("small", n=n)
+    agents = formulate_local(cfg, weight_preset("small", p, n=n),
+                             cruise_state(cfg))
+    st = _splitting(agents)
+    assert _consensus_gap(st) == 0.0
+    assert _stationarity(st) == np.inf
+    for _ in range(20):
+        st.y = rng.normal(size=st.z.size)
+        st.w = rng.normal(size=st.z.size)
+        ys = [st.y[sl] for sl in st.layout.slices]
+        ws = [st.w[sl] for sl in st.layout.slices]
+        assert _consensus_gap(st) == consensus_gap_by_copies(agents, ys)
+        assert _stationarity(st) == stationarity_by_agent(ys, ws)
+    # copies that agree with their owners leave no gap
+    st.y = np.repeat(rng.normal(size=n), p)[st.layout.scatter]
+    assert _consensus_gap(st) == 0.0
+
+
+def test_p1_resolve_resumes_from_carried_state(small):
+    # the p = 1 run leaves its consensus iterate behind; solving the same
+    # state again on the same agents resumes at the fixed point and needs
+    # a small fraction of the rounds
+    w = weight_preset("small", 1, n=small.n)
+    st = offset_state(small, dv=0.0, u0=-2.0)
+    agents = formulate_local(small, w, st)
+    first = solve_mpc(agents, state=st)
+    again = solve_mpc(agents, state=st)
+    assert first.diagnostics.inner_iters >= 50
+    assert again.diagnostics.inner_iters * 10 < first.diagnostics.inner_iters
+    assert np.max(np.abs(again.u_plan - first.u_plan)) <= 1e-4
+    assert again.diagnostics.feasible
+    # fresh agents start from zero and take the long way again
+    cold = solve_mpc(formulate_local(small, w, st), state=st)
+    assert cold.diagnostics.inner_iters == first.diagnostics.inner_iters
 
 
 def test_determinism_bitwise(small):
@@ -359,10 +395,11 @@ def test_decoupled_consensus_reaches_box_solution(small):
     _begin_stage(agents, None)
     trace, conv = _run_rounds(agents, SolverConfig(), None, 1e-10, 400)
     assert conv
+    st = _splitting(agents)
     for a, c, g in zip(agents, curvs, lins):
         sl = a.sl(a.own_pos)
         want = box_prox(np.full(p, c), g, a.lo[sl], a.hi[sl])
-        got = a.own(a.base + a.w)
+        got = a.own((st.base + st.w)[st.layout.slices[a.i - 1]])
         assert np.max(np.abs(got - want)) <= 1e-8
 
 
@@ -429,29 +466,31 @@ def test_refreeze_on_new_state_resets(small):
     assert np.max(np.abs(res.u_plan - cold.u_plan)) <= 0.02
 
 
-def test_majorant_rows_dominate_sampled(small, rng):
+def test_majorant_rows_dominate_sampled(small, rng, monkeypatch):
     p = 3
     w = weight_preset("small", p, n=small.n)
     st = offset_state(small, dx=0.6, dv=0.5)
     agents = formulate_local(small, w, st)
-    opts = SolverConfig(lip_factor=1.0)
-    for a in agents:
-        a.u_hat = rng.uniform(-0.4, 0.4, a.dim)
-    scp_step(agents, opts)
+    monkeypatch.setattr("platoon_mpc.solver.LIP_FACTOR", 1.0)
+    split = _splitting(agents)
+    split.u_hat = np.concatenate([rng.uniform(-0.4, 0.4, a.dim)
+                                  for a in agents])
+    scp_step(agents, SolverConfig())
     z = st.spacing_error(small.gap)
     zp = st.rel_speed()
-    for a in agents:
+    for a, sl in zip(agents, split.layout.slices):
         assert len(a.problem.quads) == 3 * p
         par = small.vehicles[a.i - 1]
         prev = small.leader if a.i == 1 else small.vehicles[a.i - 2]
         v, v_prev = st.v[a.i], st.v[a.i - 1]
         own_sl = a.sl(a.own_pos)
-        u_own = a.own(a.u_hat)
+        u_hat = split.u_hat[sl]
+        u_own = a.own(u_hat)
         u_prev = (np.full(p, st.u0) if a.i == 1
-                  else a.u_hat[a.sl(a.own_pos - 1)])
+                  else u_hat[a.sl(a.own_pos - 1)])
         for _ in range(25):
-            d = np.clip(a.u_hat + rng.uniform(-0.5, 0.5, a.dim),
-                        a.lo, a.hi) - a.u_hat
+            d = np.clip(u_hat + rng.uniform(-0.5, 0.5, a.dim),
+                        a.lo, a.hi) - u_hat
             y_own = u_own + d[own_sl]
             y_prev = u_prev if a.i == 1 else u_prev + d[a.sl(a.own_pos - 1)]
             q_t, _ = speed_constraint_fn(small, par, v, y_own)
