@@ -24,6 +24,5 @@ from .loop import (ClosedLoopMatrices, Scenario, SimRecord, SimulationError,
                    speed_coupling, steady_state_error, synthetic_leader,
                    trace_scenario, wave_scenario, write_leader_trace,
                    write_trajectory_csv)
-from .cli import RunSpec, run_spec
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -199,15 +199,12 @@ def run_spec(spec: RunSpec) -> dict:
 
 
 def _spec_from(platoon, scenario, horizon, steps, leader_csv, out,
-               centralized, seed, tol_outer, tol_inner, alpha, rho):
-    overrides = {"tol_outer": tol_outer, "tol_inner": tol_inner}
-    if alpha is not None:
-        overrides["alpha"] = alpha
-    if rho is not None:
-        overrides["rho"] = rho
+               centralized, seed, tol_outer, tol_inner):
     return RunSpec(platoon=platoon, scenario=scenario, horizon=horizon,
                    steps=steps, leader_csv=leader_csv, out=out,
-                   centralized=centralized, seed=seed, overrides=overrides)
+                   centralized=centralized, seed=seed,
+                   overrides={"tol_outer": tol_outer,
+                              "tol_inner": tol_inner})
 
 
 _shared_options = [
@@ -229,8 +226,6 @@ _shared_options = [
     click.option("--seed", default=0, show_default=True, type=int),
     click.option("--tol-outer", default=None, type=float),
     click.option("--tol-inner", default=None, type=float),
-    click.option("--alpha", default=None, type=float),
-    click.option("--rho", default=None, type=float),
 ]
 
 

@@ -56,7 +56,6 @@ class ConvexQcqp:
         self.curved = 2 * d + np.array(curved, dtype=int)
         self.curved_A = np.array([self.quads[k][0] for k in curved],
                                  dtype=float).reshape(len(curved), d, d)
-        self.h_nonzero = bool(np.linalg.norm(self.H, ord=np.inf) > 0)
         self._prox = None
 
     @property
@@ -67,29 +66,24 @@ class ConvexQcqp:
     def n_con(self) -> int:
         return 2 * self.dim + len(self.quads)
 
-    def with_objective(self, H: np.ndarray, q: np.ndarray,
-                       h_nonzero: bool) -> ConvexQcqp:
+    def with_objective(self, H: np.ndarray, q: np.ndarray) -> ConvexQcqp:
         """The same constraint set under the objective 1/2 y'Hy + q'y,
-        sharing this problem's row stacks; h_nonzero must state whether
-        H is nonzero."""
+        sharing this problem's row stacks."""
         out = object.__new__(ConvexQcqp)
         out.__dict__.update(self.__dict__)
-        out.H, out.q, out.h_nonzero, out._prox = H, q, h_nonzero, None
+        out.H, out.q, out._prox = H, q, None
         return out
 
     def prox_hessian(self, rho: float,
-                     metric: np.ndarray | None = None) -> tuple:
-        """H + metric/rho (the identity metric when None) and whether it is
-        nonzero.  Computed on the first call and kept for the later calls
-        with the same rho and metric object, so a splitting stage forms it
-        once."""
+                     metric: np.ndarray | None = None) -> np.ndarray:
+        """H + metric/rho (the identity metric when None).  Computed on the
+        first call and kept for the later calls with the same rho and
+        metric object, so a splitting stage forms it once."""
         memo = self._prox
         if memo is None or memo[0] != rho or memo[1] is not metric:
             curv = np.eye(self.dim) / rho if metric is None else metric / rho
-            Hs = self.H + curv
-            memo = self._prox = (rho, metric, Hs,
-                                 bool(np.linalg.norm(Hs, ord=np.inf) > 0))
-        return memo[2], memo[3]
+            memo = self._prox = (rho, metric, self.H + curv)
+        return memo[2]
 
     def value(self, y: np.ndarray) -> float:
         return float(0.5 * y @ (self.H @ y) + self.q @ y)
@@ -371,25 +365,26 @@ def qcqp_solve(prob: ConvexQcqp, y0: np.ndarray | None = None,
     """Solve the QCQP.  Tries the unconstrained minimizer and the active
     set of a previous solution first, then follows the barrier path; the
     active-set polish usually ends it early at machine precision, otherwise
-    the path is driven to mu_final."""
-    if prob.h_nonzero:
-        try:
-            free = np.linalg.solve(prob.H, -prob.q)
-        except np.linalg.LinAlgError:
-            free = None
-        if free is not None and np.all(prob.con_values(free) < -1e-8):
-            return QcqpResult(free, np.zeros(prob.n_con), prob.value(free),
-                              "free")
-        if warm is not None and warm.lam.size == prob.n_con:
-            active = warm.lam > 1e-9
-            done = (_polish(prob, warm.y, warm.lam, active)
-                    if np.any(active) else None)
-            if done is not None:
-                return QcqpResult(done[0], done[1], prob.value(done[0]),
-                                  "warm")
-        fast = None if free is None else _active_set_solve(prob, free)
-        if fast is not None:
-            return fast
+    the path is driven to mu_final.  An H that cannot be factored, H = 0
+    among them, gives no unconstrained minimizer; such a problem goes to
+    the barrier unless a warm active set solves it."""
+    try:
+        free = np.linalg.solve(prob.H, -prob.q)
+    except np.linalg.LinAlgError:
+        free = None
+    if free is not None and np.all(prob.con_values(free) < -1e-8):
+        return QcqpResult(free, np.zeros(prob.n_con), prob.value(free),
+                          "free")
+    if warm is not None and warm.lam.size == prob.n_con:
+        active = warm.lam > 1e-9
+        done = (_polish(prob, warm.y, warm.lam, active)
+                if np.any(active) else None)
+        if done is not None:
+            return QcqpResult(done[0], done[1], prob.value(done[0]),
+                              "warm")
+    fast = None if free is None else _active_set_solve(prob, free)
+    if fast is not None:
+        return fast
 
     y = _strictly_feasible_start(prob, y0)
     m = prob.n_con
@@ -416,16 +411,15 @@ def qcqp_solve(prob: ConvexQcqp, y0: np.ndarray | None = None,
 
 
 def qcqp_prox(prob: ConvexQcqp, anchor: np.ndarray, rho: float,
-              y0: np.ndarray | None = None,
               warm: QcqpResult | None = None,
               metric: np.ndarray | None = None) -> QcqpResult:
     """prox_{rho f}(anchor) for f the objective restricted to the
     constraint set: adds (1/rho) * (1/2 ||y||^2 - anchor'y), with the
     norm taken in the positive definite metric when one is given."""
     pull = anchor / rho if metric is None else metric @ anchor / rho
-    hess, nonzero = prob.prox_hessian(rho, metric)
-    shifted = prob.with_objective(hess, prob.q - pull, nonzero)
-    return qcqp_solve(shifted, y0=anchor if y0 is None else y0, warm=warm)
+    shifted = prob.with_objective(prob.prox_hessian(rho, metric),
+                                  prob.q - pull)
+    return qcqp_solve(shifted, y0=anchor, warm=warm)
 
 
 def box_prox(hdiag: np.ndarray, lin: np.ndarray, lo: np.ndarray,

@@ -190,9 +190,7 @@ def schur_check(a_c: np.ndarray) -> tuple[float, bool]:
 
 
 def steady_state_error(config: PlatoonConfig, weights: WeightSchedule,
-                       v0_inf: float,
-                       options: SolverConfig | None = None
-                       ) -> tuple[np.ndarray, bool]:
+                       v0_inf: float) -> tuple[np.ndarray, bool]:
     """Stationary spacing errors under a constant leader speed.  For a
     one-step horizon the loss compensation admits a closed form; longer
     horizons fall back on the simulated fixed point (flag False)."""
@@ -202,7 +200,7 @@ def steady_state_error(config: PlatoonConfig, weights: WeightSchedule,
         qw = np.asarray(weights.qw[0], dtype=float)
         return -2.0 * (qw / qz) * w_e, True
     scen = cruise_scenario(200, v_start=v0_inf)
-    rec = simulate(config, weights, scen, options=options)
+    rec = simulate(config, weights, scen)
     return rec.z[-20:].mean(axis=0), False
 
 
@@ -366,11 +364,11 @@ def _check_state(config: PlatoonConfig, state: PlatoonState, k: int,
 def simulate(config: PlatoonConfig, weights: WeightSchedule,
              scenario: Scenario,
              options: SolverConfig | None = None,
-             state: PlatoonState | None = None,
-             feas_tol: float = 1e-6) -> SimRecord:
+             state: PlatoonState | None = None) -> SimRecord:
     """Run the distributed controller in closed loop over the scenario.
     Every visited state is checked against the speed band and the safety
-    spacing bound; a violated step aborts with its index."""
+    spacing bound, to options.feas_tol; a violated step aborts with its
+    index."""
     options = options or SolverConfig()
     if scenario.tau is not None and abs(scenario.tau - config.tau) > 1e-12:
         raise ValueError("scenario was sampled at a different tau")
@@ -394,7 +392,7 @@ def simulate(config: PlatoonConfig, weights: WeightSchedule,
     track_gap = 0.0
     tau = config.tau
 
-    _check_state(config, state, 0, feas_tol)
+    _check_state(config, state, 0, options.feas_tol)
     for k in range(steps):
         state.u0 = float(scenario.u0[k])
         spac[k] = state.spacings()
@@ -420,7 +418,7 @@ def simulate(config: PlatoonConfig, weights: WeightSchedule,
 
         u0_next = float(scenario.u0[k + 1]) if k + 1 < steps else 0.0
         state = nonlinear_step(config, state, u, u0_next)
-        _check_state(config, state, k + 1, feas_tol)
+        _check_state(config, state, k + 1, options.feas_tol)
         track_gap = max(
             track_gap,
             float(np.max(np.abs(z_prop - state.spacing_error(config.gap)))),

@@ -44,6 +44,10 @@ OUTER_TOL = {1: 1.0e-5, 2: 6.5e-3, 3: 7.5e-3, 4: 1.0e-2, 5: 1.25e-2}
 INNER_TOL = {2: 4.0e-3, 3: 5.0e-3, 4: 7.5e-3, 5: 1.0e-2}
 # curvature scaling of the local cost majorants
 NU = {2: 0.8, 3: 0.8, 4: 0.9, 5: 0.9}
+# relaxation of the splitting rounds, and their step under the identity
+# prox metric
+ALPHA = 0.9
+RHO = 0.1
 # splitting step of the convergent scheme, whose prox distances are
 # measured in the metric of _block_metric
 RHO_METRIC = 0.04
@@ -82,32 +86,23 @@ class WarmStartError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Knobs of the splitting scheme.  Tolerances default to the per-p
-    tables above; the NU table scales the cost majorant and LIP_FACTOR
-    the constraint-row majorants."""
+    """Settings of the splitting scheme that a caller may change: the
+    tolerances, which default to the per-p tables above, the round and
+    outer-iteration caps, and the violation a returned plan may keep.
+    The relaxation ALPHA, the steps RHO and RHO_METRIC, the NU table of
+    cost-majorant scalings and LIP_FACTOR are module constants."""
 
-    alpha: float = 0.9
-    rho: float = 0.1
     tol_outer: float | None = None
     tol_inner: float | None = None
     max_outer: int = 60
     max_inner: int = 500
     feas_tol: float = 1e-6
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
-
     def outer_tol_for(self, p: int) -> float:
         return self.tol_outer if self.tol_outer is not None else OUTER_TOL[p]
 
     def inner_tol_for(self, p: int) -> float:
         return self.tol_inner if self.tol_inner is not None else INNER_TOL[p]
-
-    def nu_for(self, p: int) -> float:
-        return NU.get(p, 0.9)
 
     @property
     def convergent(self) -> bool:
@@ -127,9 +122,12 @@ class SolverConfig:
 
 class LocalExchange:
     """Message fabric between agents.  It refuses non-adjacent pairs and
-    counts traffic for the diagnostics: the consensus rounds check their
-    fixed routes once with check() and then count each round, and its
-    messages, with record_round()."""
+    counts traffic for the diagnostics.  One fabric serves an agent graph
+    for its lifetime (ConsensusLayout.net): the layout checks its fixed
+    routes once with check(), and every consensus average counts one
+    round, and its messages, with record_round().  The counts add up over
+    all solves on the graph; solve_mpc reports its own share as the
+    difference."""
 
     def __init__(self, n: int):
         self.n = n
@@ -210,8 +208,7 @@ class AgentState:
 # formulation
 
 def formulate_local(config: PlatoonConfig, weights: WeightSchedule,
-                    state: PlatoonState,
-                    options: SolverConfig | None = None) -> list[AgentState]:
+                    state: PlatoonState) -> list[AgentState]:
     """Build the agent graph for one platoon.  The agents persist across
     steps; call solve_mpc with a new state to re-linearize around it."""
     p, n = weights.p, config.n
@@ -291,13 +288,14 @@ class ConsensusLayout:
     zero when the block has fewer holders.  scatter maps every stacked
     entry to its entry of the flat (n, p) plan, own maps the plan back to
     each owner's block, and owner maps every stacked entry to the owner's
-    copy of it.  Building the plan checks every route against the message
-    fabric, so a copy held beyond a neighbor raises LocalityError; a
-    round then sends one message out and one back per held copy."""
+    copy of it.  The layout owns the agents' message fabric, net: building
+    the plan checks every route against it, so a copy held beyond a
+    neighbor raises LocalityError; a round then sends one message out and
+    one back per held copy."""
 
     def __init__(self, agents: list[AgentState]):
         p, n = agents[0].p, len(agents)
-        net = LocalExchange(n)
+        self.net = net = LocalExchange(n)
         # (agent, start of its copy in the stacked z) for every block
         holders: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self.slices = []
@@ -356,11 +354,12 @@ def _splitting(agents: list[AgentState]) -> SplittingState:
     return sh.split
 
 
-def _average(st: SplittingState, net: LocalExchange) -> np.ndarray:
+def _average(st: SplittingState) -> np.ndarray:
     """Average every vehicle's copies at its owner and hand the mean back.
     Copies are summed in ascending agent order, starting from zero, so
     the result does not depend on agent scheduling.  Sets w (and w_prev)
-    and returns the block means as a flat (n, p) plan."""
+    and returns the block means as a flat (n, p) plan; the round and its
+    messages are counted on the layout's fabric."""
     lay = st.layout
     copies = np.concatenate((st.z, _ZERO))[lay.copy_idx]
     total = 0.0 + copies[0]
@@ -368,28 +367,21 @@ def _average(st: SplittingState, net: LocalExchange) -> np.ndarray:
         total += row
     means = total / lay.count
     st.w_prev, st.w = st.w, means[lay.scatter]
-    net.record_round(lay.messages)
+    lay.net.record_round(lay.messages)
     return means
 
 
-def _consensus(agents: list[AgentState], net: LocalExchange) -> dict:
-    """The consensus average (see _average), as {block: mean}."""
-    means = _average(_splitting(agents), net)
-    p = agents[0].p
-    return {j + 1: means[j * p:(j + 1) * p] for j in range(means.size // p)}
-
-
 def _agent_prox(a: AgentState, anchor: np.ndarray, olo: np.ndarray,
-                ohi: np.ndarray, options: SolverConfig) -> np.ndarray:
+                ohi: np.ndarray) -> np.ndarray:
     if a.frozen:
         # the agent's set collapsed to its current point
         return np.zeros_like(anchor)
     a.prox_calls += 1
-    rho = options.rho if a.metric is None else RHO_METRIC
+    rho = RHO if a.metric is None else RHO_METRIC
     if a.problem is None:
-        lin = a.grad_J if a.grad_J is not None else np.zeros(a.dim)
+        # box-only warm-up: scp_step has set grad_J and L_J
         return box_prox(np.full(a.dim, a.L_J + 1.0 / rho),
-                        lin - anchor / rho, olo, ohi)
+                        a.grad_J - anchor / rho, olo, ohi)
     try:
         a.warm = qcqp_prox(a.problem, anchor, rho, warm=a.warm,
                            metric=a.metric)
@@ -398,24 +390,21 @@ def _agent_prox(a: AgentState, anchor: np.ndarray, olo: np.ndarray,
     return a.warm.y
 
 
-def dr_round(agents: list[AgentState], options: SolverConfig,
-             net: LocalExchange | None = None) -> float:
+def dr_round(agents: list[AgentState]) -> float:
     """One synchronous splitting round: average the copies, then every
     agent applies its prox to its slice of the reflected iterate.  Returns
     the largest change of the consensus average (inf on the first round
     of a stage)."""
-    if net is None:
-        net = LocalExchange(len(agents))
     st = _splitting(agents)
-    _average(st, net)
+    _average(st)
     resid = np.inf
     if st.w_prev is not None:
         resid = float(np.max(np.abs(st.w - st.w_prev)))
     anchor = 2.0 * st.w - st.z
     st.y = np.concatenate([
-        _agent_prox(a, anchor[sl], st.olo[sl], st.ohi[sl], options)
+        _agent_prox(a, anchor[sl], st.olo[sl], st.ohi[sl])
         for a, sl in zip(agents, st.layout.slices)])
-    st.z = st.z + 2.0 * options.alpha * (st.y - st.w)
+    st.z = st.z + 2.0 * ALPHA * (st.y - st.w)
     return resid
 
 
@@ -433,13 +422,14 @@ def _distance_estimate(trace: list[float], window: int) -> float:
     return resid / (1.0 - q) if q < 1.0 else np.inf
 
 
-def _run_rounds(agents, options, net, tol, max_rounds, window=0):
+def _run_rounds(agents, tol, max_rounds, window=0):
     """Splitting rounds until the residual is at most tol, or, with a
-    window, until the distance estimate over that window is."""
+    window, until the distance estimate over that window is.  Returns the
+    residuals of the rounds and whether the run converged."""
     trace = []
     converged = False
     for _ in range(max_rounds):
-        resid = dr_round(agents, options, net)
+        resid = dr_round(agents)
         if np.isfinite(resid):
             trace.append(resid)
             est = _distance_estimate(trace, window) if window else resid
@@ -633,27 +623,22 @@ def _linear_problem(a: AgentState) -> ConvexQcqp:
 
 def warm_start_linear(agents: list[AgentState],
                       options: SolverConfig | None = None,
-                      net: LocalExchange | None = None,
                       diag: "MpcDiagnostics | None" = None) -> np.ndarray:
     """First iterate: minimize the loss-free quadratic cost over the inner
     convex restrictions of the horizon constraints, by splitting rounds.
     The result is checked against the true rows and the rounds continue at
-    a tighter tolerance if the averaging left a violation behind."""
+    a tighter tolerance if the averaging left a violation behind.  The
+    rounds of this call and its capped runs go to diag when given."""
     options = options or SolverConfig()
-    if net is None:
-        net = LocalExchange(len(agents))
     sh = agents[0].shared
-    rounds0 = net.rounds
     for a in agents:
         a.problem = _linear_problem(a)
     st = _begin_stage(agents, None, seed="carry")
+    rounds0 = st.layout.net.rounds
     tol = LIN_TOL
-    full_trace = []
     capped = 0
     for attempt in range(GUARD_RETRIES + 1):
-        trace, conv = _run_rounds(agents, options, net, tol,
-                                  options.max_inner)
-        full_trace += trace
+        _, conv = _run_rounds(agents, tol, options.max_inner)
         capped += not conv
         plan = _collect_plan(st)
         gap = plan_violation(sh.config, sh.state, plan, sh.struct)
@@ -665,9 +650,8 @@ def warm_start_linear(agents: list[AgentState],
                 f"{GUARD_TOL:.0e} after {attempt + 1} attempts")
         tol /= 10.0
     if diag is not None:
-        diag.lin_rounds = net.rounds - rounds0
+        diag.lin_rounds = st.layout.net.rounds - rounds0
         diag.capped_runs += capped
-        diag.residual_trace["linear"] = [float(r) for r in full_trace]
     st.carry_z = st.z.copy()
     st.u_hat = plan.ravel()[st.layout.scatter]
     for a in agents:
@@ -711,8 +695,7 @@ def scp_step(agents: list[AgentState],
         _, grads = local_objective(sh.objectives[a.i - 1], u_by_block)
         hj = local_objective_hessian(sh.objectives[a.i - 1], u_by_block)
         a.grad_J = np.concatenate(grads)
-        a.L_J = options.nu_for(p) * float(
-            np.max(np.abs(np.linalg.eigvalsh(hj))))
+        a.L_J = NU[p] * float(np.max(np.abs(np.linalg.eigvalsh(hj))))
         if options.convergent:
             vals, vecs = np.linalg.eigh(hj)
             model = (vecs * np.maximum(vals, 0.0)) @ vecs.T
@@ -757,22 +740,17 @@ def scp_step(agents: list[AgentState],
 
 
 def warm_start_inner(agents: list[AgentState],
-                     options: SolverConfig | None = None,
-                     net: LocalExchange | None = None) -> list[float]:
+                     options: SolverConfig | None = None) -> None:
     """Box-only warm-up of an inner stage: with the constraint rows
     dropped the prox is a coordinatewise clip, so rounds are cheap.  The
     splitting state it leaves behind seeds the full stage."""
     options = options or SolverConfig()
-    if net is None:
-        net = LocalExchange(len(agents))
     saved = [a.problem for a in agents]
     for a in agents:
         a.problem = None
-    trace, _ = _run_rounds(agents, options, net, WARM_TOL,
-                           options.max_inner)
+    _run_rounds(agents, WARM_TOL, options.max_inner)
     for a, prob in zip(agents, saved):
         a.problem = prob
-    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +780,8 @@ class MpcDiagnostics:
     converged: bool = False
     feasible: bool = False
     wall_time: float = 0.0
-    residual_trace: dict = field(default_factory=dict)
+    # worst violation of the true rows by each outer iterate's plan
+    outer_violation: list = field(default_factory=list)
 
 
 @dataclass
@@ -838,14 +817,18 @@ def solve_mpc(agents: list[AgentState],
               state: PlatoonState | None = None) -> MpcResult:
     """Solve one MPC step on the agent graph and return the control plan
     with the splitting diagnostics.  Passing a state re-linearizes the
-    local problems around it first."""
+    local problems around it first.  The round and message counters of
+    the diagnostics are this call's share of the agent graph's fabric,
+    which counts over all solves on the graph."""
     options = options or SolverConfig()
     if state is not None:
         _refresh(agents, state)
     sh = agents[0].shared
     p = agents[0].p
     t0 = time.perf_counter()
-    net = LocalExchange(len(agents))
+    st = _splitting(agents)
+    net = st.layout.net
+    rounds0, messages0 = net.rounds, net.messages
     diag = MpcDiagnostics(p=p)
     for a in agents:
         a.frozen = False
@@ -855,13 +838,12 @@ def solve_mpc(agents: list[AgentState],
     if p == 1:
         for a in agents:
             a.problem = _p1_problem(a)
-        st = _begin_stage(agents, None, seed="carry")
+        _begin_stage(agents, None, seed="carry")
         tol = options.outer_tol_for(1)
-        traces = []
+        resid = np.inf
         for attempt in range(GUARD_RETRIES + 1):
-            trace, conv = _run_rounds(agents, options, net, tol,
-                                      options.max_inner)
-            traces += trace
+            trace, conv = _run_rounds(agents, tol, options.max_inner)
+            resid = trace[-1] if trace else resid
             diag.capped_runs += not conv
             plan = _collect_prox_plan(st)
             viol = plan_violation(sh.config, sh.state, plan, sh.struct)
@@ -871,17 +853,13 @@ def solve_mpc(agents: list[AgentState],
             tol /= 10.0
         st.carry_z = st.z.copy()
         diag.outer_iters = 1
-        diag.inner_residual = traces[-1] if traces else np.inf
-        diag.outer_step = diag.inner_residual
+        diag.inner_residual = diag.outer_step = resid
         diag.converged = conv
-        diag.residual_trace["rounds"] = [float(r) for r in traces]
     else:
         for a in agents:
             a.metric = (_block_metric(sh.model, a.span)
                         if options.convergent else None)
-        plan = warm_start_linear(agents, options, net, diag)
-        st = _splitting(agents)
-        diag.residual_trace["inner"] = []
+        plan = warm_start_linear(agents, options, diag)
         step = np.inf
         tol_outer = options.outer_tol_for(p)
         tol_inner = options.inner_tol_for(p)
@@ -892,19 +870,17 @@ def solve_mpc(agents: list[AgentState],
                 # the rounds resume from the warm start's state, then from
                 # the last stage's, which sit near the next fixed point
                 _begin_stage(agents, plan, seed="shift")
-                trace, inner_ok = _run_rounds(agents, options, net,
-                                              tol_inner, options.max_inner,
+                trace, inner_ok = _run_rounds(agents, tol_inner,
+                                              options.max_inner,
                                               window=RATE_WINDOW)
             else:
                 _begin_stage(agents, plan, seed="zero")
-                rounds0 = net.rounds
-                warm_start_inner(agents, options, net)
-                diag.warm_rounds += net.rounds - rounds0
-                trace, inner_ok = _run_rounds(agents, options, net,
-                                              tol_inner, options.max_inner)
+                warm0 = net.rounds
+                warm_start_inner(agents, options)
+                diag.warm_rounds += net.rounds - warm0
+                trace, inner_ok = _run_rounds(agents, tol_inner,
+                                              options.max_inner)
             diag.capped_runs += not inner_ok
-            diag.residual_trace["inner"].append(
-                [float(r) for r in trace])
             diag.inner_residual = trace[-1] if trace else np.inf
             plan = _collect_plan(st)
             u_hat = plan.ravel()[st.layout.scatter]
@@ -920,8 +896,8 @@ def solve_mpc(agents: list[AgentState],
             step = float(np.max(moved))
             scale = float(np.max(np.abs(u_hat)))
             st.u_hat = u_hat
-            diag.residual_trace.setdefault("outer_violation", []).append(
-                float(plan_violation(sh.config, sh.state, plan, sh.struct)))
+            diag.outer_violation.append(
+                plan_violation(sh.config, sh.state, plan, sh.struct))
             diag.outer_iters = k + 1
             if _outer_converged(p, step, scale, tol_outer):
                 conv = True
@@ -935,20 +911,20 @@ def solve_mpc(agents: list[AgentState],
                 break
             diag.guard_rounds += 1
             tol_inner /= 10.0
-            _, conv = _run_rounds(agents, options, net, tol_inner,
-                                  options.max_inner)
+            _, conv = _run_rounds(agents, tol_inner, options.max_inner)
             diag.capped_runs += not conv
             st.u_hat = _collect_plan(st).ravel()[st.layout.scatter]
             plan = _collect_prox_plan(st)
             viol = plan_violation(sh.config, sh.state, plan, sh.struct)
 
-    diag.inner_iters = net.rounds - diag.lin_rounds - diag.warm_rounds
+    diag.inner_iters = (net.rounds - rounds0 - diag.lin_rounds
+                        - diag.warm_rounds)
     diag.violation = plan_violation(sh.config, sh.state, plan, sh.struct)
     diag.feasible = diag.violation <= options.feas_tol
     diag.stationarity = _stationarity(st)
     diag.consensus_gap = _consensus_gap(st)
     diag.prox_calls = sum(a.prox_calls for a in agents)
-    diag.messages = net.messages
+    diag.messages = net.messages - messages0
     diag.frozen = sum(a.frozen for a in agents)
     diag.wall_time = time.perf_counter() - t0
     return MpcResult(u_plan=plan, diagnostics=diag)
@@ -958,8 +934,7 @@ def solve_mpc(agents: list[AgentState],
 # centralized references
 
 def solve_centralized_p1(config: PlatoonConfig, weights: WeightSchedule,
-                         state: PlatoonState,
-                         mu_final: float = 1e-12) -> np.ndarray:
+                         state: PlatoonState) -> np.ndarray:
     """High precision reference for the one-step problem: the whole
     platoon solved as a single QCQP."""
     if weights.p != 1:
@@ -974,12 +949,11 @@ def solve_centralized_p1(config: PlatoonConfig, weights: WeightSchedule,
     prob = ConvexQcqp(model.W, model.c - model.V @ e,
                       config.accel_min.astype(float),
                       config.accel_max.astype(float), quads)
-    return qcqp_solve(prob, mu_final=mu_final).y
+    return qcqp_solve(prob, mu_final=1e-12).y
 
 
 def solve_centralized_linear(config: PlatoonConfig, weights: WeightSchedule,
-                             state: PlatoonState,
-                             mu_final: float = 1e-11) -> np.ndarray:
+                             state: PlatoonState) -> np.ndarray:
     """Reference for the warm-start stage: loss-free cost over the
     restricted sets, solved as one program.  Returns an (n, p) plan."""
     model = assemble_quadratic_model(config, weights, state=state)
@@ -992,4 +966,4 @@ def solve_centralized_linear(config: PlatoonConfig, weights: WeightSchedule,
     prob = ConvexQcqp(model.W, model.c,
                       np.repeat(config.accel_min.astype(float), p),
                       np.repeat(config.accel_max.astype(float), p), quads)
-    return qcqp_solve(prob, mu_final=mu_final).y.reshape(n, p)
+    return qcqp_solve(prob).y.reshape(n, p)

@@ -110,6 +110,18 @@ def test_random_qcqp_kkt_and_optimality(rng):
             assert res.value <= prob.value(y) + 1e-7
 
 
+def test_zero_hessian_reaches_the_barrier(rng):
+    # a linear objective has no unconstrained minimizer; the solve still
+    # ends at a KKT point of the box, one affine and one ball row
+    for _ in range(6):
+        prob, _ = random_feasible_qcqp(rng, 3, n_ball=1, n_aff=1)
+        prob = ConvexQcqp(np.zeros((3, 3)), prob.q, prob.lo, prob.hi,
+                          prob.quads)
+        res = qcqp_solve(prob)
+        assert kkt_residual(prob, res.y, res.lam) <= 1e-9
+        assert np.all(prob.con_values(res.y) <= 1e-9)
+
+
 def test_warm_start_agrees(rng):
     prob, center = random_feasible_qcqp(rng, 4)
     cold = qcqp_solve(prob)
@@ -206,9 +218,9 @@ def test_stacked_rows_match_per_row_formulas(seed, d, kinds):
     before = {name: getattr(prob, name).copy() for name in stacks}
     rho = float(rng.uniform(0.05, 2.0))
     anchor = rng.normal(size=d)
-    hess, nonzero = prob.prox_hessian(rho)
-    assert nonzero and np.array_equal(hess, prob.H + np.eye(d) / rho)
-    shifted = prob.with_objective(hess, prob.q - anchor / rho, nonzero)
+    hess = prob.prox_hessian(rho)
+    assert np.array_equal(hess, prob.H + np.eye(d) / rho)
+    shifted = prob.with_objective(hess, prob.q - anchor / rho)
     for name in stacks[2:]:
         assert getattr(shifted, name) is getattr(prob, name)
     assert shifted.quads is prob.quads
@@ -218,10 +230,10 @@ def test_stacked_rows_match_per_row_formulas(seed, d, kinds):
         assert np.array_equal(getattr(prob, name), before[name])
     # a metric changes the prox Hessian
     metric = random_pd(rng, d)
-    assert np.array_equal(prob.prox_hessian(rho, metric)[0],
+    assert np.array_equal(prob.prox_hessian(rho, metric),
                           prob.H + metric / rho)
-    assert np.array_equal(prob.prox_hessian(rho)[0], hess)
-    assert np.array_equal(prob.prox_hessian(2.0 * rho)[0],
+    assert np.array_equal(prob.prox_hessian(rho), hess)
+    assert np.array_equal(prob.prox_hessian(2.0 * rho),
                           prob.H + np.eye(d) / (2.0 * rho))
 
 
@@ -241,7 +253,7 @@ def test_new_problem_never_reuses_a_prox_hessian(rng):
         want = qcqp_solve(ConvexQcqp(H + np.eye(d) / rho, q - anchor / rho,
                                      lo, hi, quads), y0=anchor)
         assert np.max(np.abs(got.y - want.y)) <= 1e-9
-        assert np.array_equal(prob.prox_hessian(rho)[0],
+        assert np.array_equal(prob.prox_hessian(rho),
                               H + np.eye(d) / rho)
         del prob
         gc.collect()

@@ -290,3 +290,28 @@ def test_initial_state_sits_on_the_gaps(large):
     assert np.max(np.abs(st.spacings() - large.gap)) == 0.0
     assert np.max(np.abs(st.spacing_error(large.gap))) == 0.0
     assert np.all(st.v == 25.0)
+
+
+def hard_brake():
+    """Cruise at 25 m/s with the leader at -6 m/s^2 for steps 2 and 3."""
+    u0 = np.zeros(8)
+    u0[2:4] = -6.0
+    return Scenario("hard-brake", u0)
+
+
+@pytest.mark.xfail(strict=True, raises=SimulationError,
+                   reason="step 3: solver plan violates constraints by "
+                          "2.265e-05 under the default (calibrated) scheme")
+def test_hard_braking_keeps_the_plans_feasible(large):
+    rec = simulate(large, weight_preset("large", 5), hard_brake())
+    assert all(d.feasible for d in rec.diagnostics)
+
+
+def test_hard_braking_on_the_convergent_scheme(large):
+    # the same case at the table tolerances of p = 5, set explicitly
+    opts = SolverConfig(tol_outer=1.25e-2, tol_inner=1.0e-2)
+    rec = simulate(large, weight_preset("large", 5), hard_brake(),
+                   options=opts)
+    assert len(rec.diagnostics) == 8
+    assert all(d.capped_runs == 0 for d in rec.diagnostics)
+    assert all(d.feasible for d in rec.diagnostics)

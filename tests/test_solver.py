@@ -12,14 +12,16 @@ from conftest import cruise_state
 from oracles import (consensus_gap_by_copies, horizon_minimizer,
                      projection_by_lstsq, stationarity_by_agent,
                      w_star_reference)
+from platoon_mpc import loop, solver
 from platoon_mpc.assembly import (assemble_quadratic_model,
                                   safety_constraint_fn, speed_constraint_fn)
 from platoon_mpc.convex import ConvexQcqp, box_prox
+from platoon_mpc.loop import Scenario, cruise_scenario, simulate
 from platoon_mpc.platoon import GRAVITY, PlatoonState
 from platoon_mpc.presets import platoon_preset, weight_preset
 from platoon_mpc.solver import (
     INNER_TOL, NU, OUTER_TOL, LocalExchange, LocalityError, SolverConfig,
-    _begin_stage, _consensus, _consensus_gap, _run_rounds, _splitting,
+    _average, _begin_stage, _consensus_gap, _run_rounds, _splitting,
     _stationarity, dr_round, formulate_local, plan_violation, scp_step,
     solve_centralized_linear, solve_centralized_p1, solve_mpc,
     warm_start_linear,
@@ -49,18 +51,12 @@ def quad_value(quad, y):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(alpha=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(rho=-0.1)
     opts = SolverConfig()
     assert opts.outer_tol_for(1) == 1e-5
     assert opts.outer_tol_for(4) == 1.0e-2
     assert opts.inner_tol_for(3) == 5.0e-3
-    assert opts.nu_for(2) == 0.8
-    assert opts.nu_for(5) == 0.9
+    assert NU[2] == 0.8
+    assert NU[5] == 0.9
     assert SolverConfig(tol_outer=1e-6).outer_tol_for(3) == 1e-6
     assert set(OUTER_TOL) == {1, 2, 3, 4, 5}
     assert set(INNER_TOL) == set(NU) == {2, 3, 4, 5}
@@ -97,18 +93,17 @@ def test_consensus_matches_lstsq(rng):
     st = _splitting(agents)
     st.z = rng.normal(size=st.z.size)
     z = [st.z[sl].copy() for sl in st.layout.slices]
-    net = LocalExchange(cfg.n)
-    means = _consensus(agents, net)
+    means = _average(st)
     got = st.w
     ref = projection_by_lstsq(layout, np.concatenate(z), p)
     assert np.max(np.abs(got - ref)) <= 1e-9
-    assert net.messages == 4 * (cfg.n - 1)
+    assert st.layout.net.messages == 4 * (cfg.n - 1)
     # idempotent, and each mean is the average of its copies
     st.z = st.w.copy()
-    _consensus(agents, net)
+    _average(st)
     assert np.max(np.abs(st.w - got)) <= 1e-12
     manual = (z[0][p:] + z[1][p:2 * p] + z[2][:p]) / 3.0
-    assert np.allclose(means[2], manual, atol=1e-12)
+    assert np.allclose(means[p:2 * p], manual, atol=1e-12)
 
 
 def test_consensus_sums_copies_in_agent_order(rng):
@@ -120,8 +115,9 @@ def test_consensus_sums_copies_in_agent_order(rng):
                              cruise_state(cfg))
     st = _splitting(agents)
     st.z = rng.normal(size=st.z.size)
-    means = _consensus(agents, LocalExchange(cfg.n))
-    for j, mean in means.items():
+    means = _average(st)
+    for j in range(1, cfg.n + 1):
+        mean = means[(j - 1) * p:j * p]
         parts = [st.z[sl][a.sl(a.blocks.index(j))]
                  for a, sl in zip(agents, st.layout.slices)
                  if j in a.blocks]
@@ -131,7 +127,8 @@ def test_consensus_sums_copies_in_agent_order(rng):
 def test_consensus_refuses_a_distant_copy():
     # agent 1 of a 4-vehicle platoon given a copy of block 3, which it is
     # not adjacent to: building the splitting state's layout refuses the
-    # route before any round runs
+    # route, so no splitting state, and no fabric to count rounds on, is
+    # ever built
     p = 2
     cfg = platoon_preset("small", n=4)
     agents = formulate_local(cfg, weight_preset("small", p, n=4),
@@ -139,12 +136,11 @@ def test_consensus_refuses_a_distant_copy():
     a = agents[0]
     a.span = (1, 3)
     a.lo, a.hi = np.full(3 * p, -5.0), np.full(3 * p, 2.0)
-    net = LocalExchange(cfg.n)
     with pytest.raises(LocalityError):
-        _consensus(agents, net)
+        _average(_splitting(agents))
     with pytest.raises(LocalityError):
-        dr_round(agents, SolverConfig(), net)
-    assert net.messages == 0
+        dr_round(agents)
+    assert a.shared.split is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
@@ -348,6 +344,50 @@ def test_every_round_sends_four_messages_per_link(name, p):
     assert d.messages * cfg.n == 4 * (cfg.n - 1) * d.prox_calls
 
 
+@pytest.mark.parametrize("p, scheme", [(1, "default"), (3, "calibrated"),
+                                       (3, "convergent")])
+def test_step_counters_do_not_leak_across_steps(small, monkeypatch, p,
+                                                scheme):
+    # one fabric serves the agent graph for the whole closed loop; every
+    # step reports its own rounds, counted here at dr_round, and four
+    # messages per link and round, frozen agents included
+    calls = []
+    one_round = solver.dr_round
+
+    def counted(agents):
+        calls.append(1)
+        return one_round(agents)
+
+    monkeypatch.setattr(solver, "dr_round", counted)
+    per_step = []
+    solve = loop.solve_mpc
+
+    def step(agents, options=None, state=None):
+        first = len(calls)
+        res = solve(agents, options, state=state)
+        per_step.append(len(calls) - first)
+        return res
+
+    monkeypatch.setattr(loop, "solve_mpc", step)
+    opts = None
+    if scheme == "calibrated":
+        scen = cruise_scenario(4)
+    else:
+        u0 = np.zeros(5 if p == 1 else 4)
+        u0[1:3] = -2.0
+        scen = Scenario("brake", u0)
+        if scheme == "convergent":
+            opts = SolverConfig(tol_outer=OUTER_TOL[p], tol_inner=INNER_TOL[p])
+    rec = simulate(small, weight_preset("small", p), scen, options=opts)
+    assert len(per_step) == scen.steps
+    for d, rounds in zip(rec.diagnostics, per_step):
+        total = d.lin_rounds + d.warm_rounds + d.inner_iters
+        assert total == rounds > 0
+        assert d.messages == 4 * (small.n - 1) * total
+    if scheme == "calibrated":
+        assert any(d.frozen for d in rec.diagnostics)
+
+
 def test_capped_runs_are_counted(small):
     # a run cut at max_inner counts max_inner rounds, the first round of a
     # stage included, although that round has no residual to record
@@ -393,7 +433,7 @@ def test_decoupled_consensus_reaches_box_solution(small):
         q[sl] = g
         a.problem = ConvexQcqp(H, q, a.lo, a.hi, [])
     _begin_stage(agents, None)
-    trace, conv = _run_rounds(agents, SolverConfig(), None, 1e-10, 400)
+    trace, conv = _run_rounds(agents, 1e-10, 400)
     assert conv
     st = _splitting(agents)
     for a, c, g in zip(agents, curvs, lins):
@@ -410,7 +450,7 @@ def test_converged_stage_is_a_fixed_point(small):
     agents = formulate_local(small, w, st)
     res = solve_mpc(agents)
     assert res.diagnostics.converged
-    extra = dr_round(agents, SolverConfig(), LocalExchange(small.n))
+    extra = dr_round(agents)
     assert extra <= 2.0 * SolverConfig().inner_tol_for(p)
 
 
@@ -420,7 +460,7 @@ def test_every_outer_iterate_feasible(small):
     st = offset_state(small, dx=0.6, dv=0.5, u0=-2.0)
     agents = formulate_local(small, w, st)
     res = solve_mpc(agents)
-    trail = res.diagnostics.residual_trace["outer_violation"]
+    trail = res.diagnostics.outer_violation
     assert len(trail) == res.diagnostics.outer_iters
     assert max(trail) <= 1e-6
     assert res.diagnostics.feasible
