@@ -6,6 +6,9 @@ Solved with a primal log-barrier and damped Newton steps, then polished by
 a Newton solve of the active-set KKT system, which brings the KKT residual
 to machine precision at these sizes.  The prox operator at the bottom is
 the building block of the operator-splitting rounds in the solver module.
+Its unconstrained point is affine in the anchor, so each problem keeps a
+prox map (ConvexQcqp.prox_map) built once per step size rho and metric
+object: on the free path a prox call is one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -30,7 +33,12 @@ class ConvexQcqp:
     curved holds the ascending indices of the constraints with a nonzero
     A and curved_A (k x d x d) those matrices.  A problem is not changed
     after construction; with_objective derives problems that share its
-    stacks."""
+    stacks.
+
+    prox_map(rho, metric) is memoized on the problem, keyed on the value
+    of rho and the identity of the metric array: a splitting stage, which
+    holds both fixed, builds it once.  A derived problem starts with no
+    map."""
 
     H: np.ndarray
     q: np.ndarray
@@ -74,16 +82,23 @@ class ConvexQcqp:
         out.H, out.q, out._prox = H, q, None
         return out
 
-    def prox_hessian(self, rho: float,
-                     metric: np.ndarray | None = None) -> np.ndarray:
-        """H + metric/rho (the identity metric when None).  Computed on the
-        first call and kept for the later calls with the same rho and
-        metric object, so a splitting stage forms it once."""
+    def prox_map(self, rho: float, metric: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(hess, gain, offset) of the prox problem with the curvature
+        C = metric/rho (I/rho when metric is None): hess = H + C, and its
+        unconstrained minimizer for an anchor a is gain @ a + offset, with
+        gain = hess^-1 C and offset = -hess^-1 q.  Computed on the first
+        call and kept for the later calls with the same rho and metric
+        object.  An explicit inverse, since numpy has no triangular solve
+        to reuse a Cholesky factor with, and d is small."""
         memo = self._prox
         if memo is None or memo[0] != rho or memo[1] is not metric:
             curv = np.eye(self.dim) / rho if metric is None else metric / rho
-            memo = self._prox = (rho, metric, self.H + curv)
-        return memo[2]
+            hess = self.H + curv
+            inv = np.linalg.inv(hess)
+            memo = self._prox = (rho, metric, hess, inv @ curv,
+                                 -(inv @ self.q))
+        return memo[2:]
 
     def value(self, y: np.ndarray) -> float:
         return float(0.5 * y @ (self.H @ y) + self.q @ y)
@@ -116,7 +131,6 @@ class ConvexQcqp:
 class QcqpResult:
     y: np.ndarray
     lam: np.ndarray
-    value: float
     status: str
     newton_steps: int = 0
 
@@ -355,7 +369,7 @@ def _active_set_solve(prob: ConvexQcqp, y: np.ndarray) -> QcqpResult | None:
             if done is None:
                 return None
             yv, lam_full = done
-            return QcqpResult(yv, lam_full, prob.value(yv), "active")
+            return QcqpResult(yv, lam_full, "active")
     return None
 
 
@@ -372,16 +386,22 @@ def qcqp_solve(prob: ConvexQcqp, y0: np.ndarray | None = None,
         free = np.linalg.solve(prob.H, -prob.q)
     except np.linalg.LinAlgError:
         free = None
-    if free is not None and np.all(prob.con_values(free) < -1e-8):
-        return QcqpResult(free, np.zeros(prob.n_con), prob.value(free),
-                          "free")
+    return _solve_from(prob, free, y0, mu_final, warm)
+
+
+def _solve_from(prob: ConvexQcqp, free: np.ndarray | None,
+                y0: np.ndarray | None = None, mu_final: float = 1e-11,
+                warm: QcqpResult | None = None) -> QcqpResult:
+    """qcqp_solve given the unconstrained minimizer free of prob (None
+    when there is none)."""
+    if free is not None and (prob.con_values(free) < -1e-8).all():
+        return QcqpResult(free, np.zeros(prob.n_con), "free")
     if warm is not None and warm.lam.size == prob.n_con:
         active = warm.lam > 1e-9
         done = (_polish(prob, warm.y, warm.lam, active)
                 if np.any(active) else None)
         if done is not None:
-            return QcqpResult(done[0], done[1], prob.value(done[0]),
-                              "warm")
+            return QcqpResult(done[0], done[1], "warm")
     fast = None if free is None else _active_set_solve(prob, free)
     if fast is not None:
         return fast
@@ -403,11 +423,10 @@ def qcqp_solve(prob: ConvexQcqp, y0: np.ndarray | None = None,
             polished = _polish(prob, y, lam, active)
             if polished is not None:
                 yv, lam_full = polished
-                return QcqpResult(yv, lam_full, prob.value(yv), "polished",
-                                  total)
+                return QcqpResult(yv, lam_full, "polished", total)
         t *= 10.0
     lam = 1.0 / ((t / 10.0) * np.maximum(-prob.con_values(y), 1e-300))
-    return QcqpResult(y, lam, prob.value(y), "barrier", total)
+    return QcqpResult(y, lam, "barrier", total)
 
 
 def qcqp_prox(prob: ConvexQcqp, anchor: np.ndarray, rho: float,
@@ -416,10 +435,11 @@ def qcqp_prox(prob: ConvexQcqp, anchor: np.ndarray, rho: float,
     """prox_{rho f}(anchor) for f the objective restricted to the
     constraint set: adds (1/rho) * (1/2 ||y||^2 - anchor'y), with the
     norm taken in the positive definite metric when one is given."""
+    hess, gain, offset = prob.prox_map(rho, metric)
     pull = anchor / rho if metric is None else metric @ anchor / rho
-    shifted = prob.with_objective(prob.prox_hessian(rho, metric),
-                                  prob.q - pull)
-    return qcqp_solve(shifted, y0=anchor, warm=warm)
+    shifted = prob.with_objective(hess, prob.q - pull)
+    return _solve_from(shifted, gain @ anchor + offset, y0=anchor,
+                       warm=warm)
 
 
 def box_prox(hdiag: np.ndarray, lin: np.ndarray, lo: np.ndarray,

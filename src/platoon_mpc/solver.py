@@ -919,7 +919,7 @@ def solve_mpc(agents: list[AgentState],
 
     diag.inner_iters = (net.rounds - rounds0 - diag.lin_rounds
                         - diag.warm_rounds)
-    diag.violation = plan_violation(sh.config, sh.state, plan, sh.struct)
+    diag.violation = viol
     diag.feasible = diag.violation <= options.feas_tol
     diag.stationarity = _stationarity(st)
     diag.consensus_gap = _consensus_gap(st)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from platoon_mpc.convex import qcqp_solve
 from platoon_mpc.platoon import GRAVITY, nonlinear_step
 
 
@@ -124,6 +125,17 @@ def box_qp_brute(H, q, lo, hi):
             best_val = val
             best = y.copy()
     return best, best_val
+
+
+def prox_by_solve(prob, anchor, rho, warm=None, metric=None):
+    """prox_{rho f}(anchor) as a fresh solve: the shifted problem with
+    H + C and q - C anchor, C = metric/rho (I/rho when metric is None),
+    handed to qcqp_solve, which finds its unconstrained point by an LU
+    solve instead of the problem's memoized prox map."""
+    curv = np.eye(prob.dim) / rho if metric is None else metric / rho
+    pull = anchor / rho if metric is None else metric @ anchor / rho
+    shifted = prob.with_objective(prob.H + curv, prob.q - pull)
+    return qcqp_solve(shifted, y0=anchor, warm=warm)
 
 
 def w_star_reference(config, weights, z, zp, v0, u0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import box_qp_brute
+from oracles import box_qp_brute, prox_by_solve
 from platoon_mpc.convex import (
     ConvexQcqp, QcqpInfeasibleError, box_prox, kkt_residual, qcqp_prox,
     qcqp_solve,
@@ -72,7 +72,7 @@ def test_box_qp_vs_brute(rng):
         prob = ConvexQcqp(H, q, lo, hi)
         res = qcqp_solve(prob)
         y_ref, val_ref = box_qp_brute(H, q, lo, hi)
-        assert res.value <= val_ref + 1e-8
+        assert prob.value(res.y) <= val_ref + 1e-8
         assert np.max(np.abs(res.y - y_ref)) <= 1e-6
         assert kkt_residual(prob, res.y, res.lam) <= 1e-9
 
@@ -107,7 +107,7 @@ def test_random_qcqp_kkt_and_optimality(rng):
         assert kkt_residual(prob, res.y, res.lam) <= 1e-9
         assert np.all(prob.con_values(res.y) <= 1e-9)
         for y in sample_feasible(prob, rng, 60):
-            assert res.value <= prob.value(y) + 1e-7
+            assert prob.value(res.y) <= prob.value(y) + 1e-7
 
 
 def test_zero_hessian_reaches_the_barrier(rng):
@@ -218,7 +218,7 @@ def test_stacked_rows_match_per_row_formulas(seed, d, kinds):
     before = {name: getattr(prob, name).copy() for name in stacks}
     rho = float(rng.uniform(0.05, 2.0))
     anchor = rng.normal(size=d)
-    hess = prob.prox_hessian(rho)
+    hess = prob.prox_map(rho)[0]
     assert np.array_equal(hess, prob.H + np.eye(d) / rho)
     shifted = prob.with_objective(hess, prob.q - anchor / rho)
     for name in stacks[2:]:
@@ -230,10 +230,10 @@ def test_stacked_rows_match_per_row_formulas(seed, d, kinds):
         assert np.array_equal(getattr(prob, name), before[name])
     # a metric changes the prox Hessian
     metric = random_pd(rng, d)
-    assert np.array_equal(prob.prox_hessian(rho, metric),
+    assert np.array_equal(prob.prox_map(rho, metric)[0],
                           prob.H + metric / rho)
-    assert np.array_equal(prob.prox_hessian(rho), hess)
-    assert np.array_equal(prob.prox_hessian(2.0 * rho),
+    assert np.array_equal(prob.prox_map(rho)[0], hess)
+    assert np.array_equal(prob.prox_map(2.0 * rho)[0],
                           prob.H + np.eye(d) / (2.0 * rho))
 
 
@@ -253,7 +253,100 @@ def test_new_problem_never_reuses_a_prox_hessian(rng):
         want = qcqp_solve(ConvexQcqp(H + np.eye(d) / rho, q - anchor / rho,
                                      lo, hi, quads), y0=anchor)
         assert np.max(np.abs(got.y - want.y)) <= 1e-9
-        assert np.array_equal(prob.prox_hessian(rho),
-                              H + np.eye(d) / rho)
+        assert np.array_equal(prob.prox_map(rho)[0], H + np.eye(d) / rho)
         del prob
         gc.collect()
+
+
+def shifted_problem(prob, anchor, rho, metric=None):
+    """The prox problem of prob at anchor, built explicitly."""
+    curv = np.eye(prob.dim) / rho if metric is None else metric / rho
+    return ConvexQcqp(prob.H + curv, prob.q - curv @ anchor, prob.lo,
+                      prob.hi, prob.quads)
+
+
+def test_prox_matches_the_shifted_solve(rng):
+    # one problem serves calls under two step sizes and two metrics in
+    # turn, with anchors near its interior point (the free path) and far
+    # outside (the fallbacks); every call must match a fresh solve
+    seen = set()
+    for _ in range(12):
+        d = int(rng.integers(2, 7))
+        prob, center = random_feasible_qcqp(rng, d)
+        metric = random_pd(rng, d)
+        keys = [(0.05, None), (0.05, metric), (0.4, None),
+                (0.4, metric), (0.05, metric.copy())]
+        warm = None
+        # ending on the first key, so the next problem starts on the key
+        # this one ended with
+        for k in range(16):
+            rho, m = keys[k % len(keys)]
+            anchor = (center + rng.normal(0.0, 0.05, d) if k % 2 else
+                      rng.normal(0.0, 6.0, d))
+            got = qcqp_prox(prob, anchor, rho, warm=warm, metric=m)
+            want = prox_by_solve(prob, anchor, rho, warm=warm, metric=m)
+            assert got.status == want.status
+            assert np.max(np.abs(got.y - want.y)) <= \
+                1e-12 * (1.0 + np.max(np.abs(want.y)))
+            if got.status != "barrier":
+                # a barrier exit is not a KKT point; see
+                # test_barrier_exit_is_a_kkt_point
+                assert kkt_residual(shifted_problem(prob, anchor, rho, m),
+                                    got.y, got.lam) <= 1e-9
+            seen.add((m is None, got.status == "free"))
+            warm = got if k % 3 else None
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
+def test_prox_map_is_rebuilt_per_key(rng):
+    # the map is kept while rho and the metric object stay, and built
+    # anew for a new rho, a new metric object and every new problem
+    d = 4
+    prob, _ = random_feasible_qcqp(rng, d)
+    metric = random_pd(rng, d)
+
+    def check(got, rho, m):
+        curv = np.eye(d) / rho if m is None else m / rho
+        hess, gain, offset = got
+        assert np.array_equal(hess, prob.H + curv)
+        assert np.allclose(hess @ gain, curv, rtol=0.0, atol=1e-12)
+        assert np.allclose(hess @ offset, -prob.q, rtol=0.0, atol=1e-12)
+
+    first = prob.prox_map(0.1)
+    check(first, 0.1, None)
+    assert all(x is y for x, y in zip(prob.prox_map(0.1), first))
+    check(prob.prox_map(0.2), 0.2, None)
+    check(prob.prox_map(0.2, metric), 0.2, metric)
+    kept = prob.prox_map(0.2, metric)
+    assert all(x is y for x, y in zip(prob.prox_map(0.2, metric), kept))
+    # an equal metric in a new array is a new key
+    again = prob.prox_map(0.2, metric.copy())
+    assert not any(x is y for x, y in zip(again, kept))
+    check(again, 0.2, metric)
+    check(prob.prox_map(0.1), 0.1, None)
+    # a derived problem and a new problem start with no map
+    derived = prob.with_objective(2.0 * prob.H, -prob.q)
+    hess = derived.prox_map(0.1)[0]
+    assert np.array_equal(hess, 2.0 * prob.H + np.eye(d) / 0.1)
+    assert np.array_equal(derived.prox_map(0.1)[2],
+                          np.linalg.inv(hess) @ prob.q)
+    other = ConvexQcqp(prob.H + np.eye(d), prob.q, prob.lo, prob.hi,
+                       prob.quads)
+    assert np.array_equal(other.prox_map(0.1)[0],
+                          prob.H + np.eye(d) + np.eye(d) / 0.1)
+
+
+@pytest.mark.xfail(strict=True, reason="the barrier path of qcqp_solve "
+                   "stalls short of the optimum of some prox problems")
+def test_barrier_exit_is_a_kkt_point():
+    # prox problems under a dense metric at a small step: the ones that
+    # end on the barrier path end there far from a KKT point
+    rng = np.random.default_rng(42)
+    for _ in range(100):
+        d = int(rng.integers(2, 7))
+        prob, _ = random_feasible_qcqp(rng, d)
+        shifted = shifted_problem(prob, rng.normal(0.0, 2.0, d), 0.05,
+                                  random_pd(rng, d))
+        res = qcqp_solve(shifted)
+        assert kkt_residual(shifted, res.y, res.lam) <= 1e-9

@@ -10,14 +10,15 @@ import pytest
 
 from conftest import cruise_state
 from oracles import (consensus_gap_by_copies, horizon_minimizer,
-                     projection_by_lstsq, stationarity_by_agent,
-                     w_star_reference)
+                     projection_by_lstsq, prox_by_solve,
+                     stationarity_by_agent, w_star_reference)
 from platoon_mpc import loop, solver
 from platoon_mpc.assembly import (assemble_quadratic_model,
                                   safety_constraint_fn, speed_constraint_fn)
 from platoon_mpc.convex import ConvexQcqp, box_prox
 from platoon_mpc.loop import Scenario, cruise_scenario, simulate
-from platoon_mpc.platoon import GRAVITY, PlatoonState
+from platoon_mpc.platoon import (GRAVITY, PlatoonState,
+                                 random_feasible_state)
 from platoon_mpc.presets import platoon_preset, weight_preset
 from platoon_mpc.solver import (
     INNER_TOL, NU, OUTER_TOL, LocalExchange, LocalityError, SolverConfig,
@@ -386,6 +387,86 @@ def test_step_counters_do_not_leak_across_steps(small, monkeypatch, p,
         assert d.messages == 4 * (small.n - 1) * total
     if scheme == "calibrated":
         assert any(d.frozen for d in rec.diagnostics)
+
+
+@pytest.mark.parametrize("p, scheme", [(1, "default"), (5, "calibrated"),
+                                       (5, "convergent")])
+def test_prox_map_keeps_the_closed_loop(small, monkeypatch, p, scheme):
+    # the memoized prox map in place of a fresh solve per prox call
+    # changes plans only at rounding level and no counter: a p = 1
+    # brake-and-recover and the onset of a p = 5 brake burst, both
+    # schemes, run once as they are and once through the oracle
+    if p == 1:
+        u0 = np.zeros(20)
+        u0[2:6] = -2.0
+        u0[10:18] = 1.0
+    else:
+        u0 = np.array([0.0, -2.0, -2.0, -2.0])
+    opts = (SolverConfig(tol_outer=OUTER_TOL[p], tol_inner=INNER_TOL[p])
+            if scheme == "convergent" else None)
+    solve = loop.solve_mpc
+
+    def run():
+        steps = []
+
+        def step(agents, options=None, state=None):
+            res = solve(agents, options, state=state)
+            d = res.diagnostics
+            steps.append((res.u_plan, (
+                d.prox_calls, d.inner_iters, d.lin_rounds, d.warm_rounds,
+                d.outer_iters, d.guard_rounds, d.messages, d.capped_runs)))
+            return res
+
+        with monkeypatch.context() as m:
+            m.setattr(loop, "solve_mpc", step)
+            simulate(small, weight_preset("small", p), Scenario("burst", u0),
+                     options=opts)
+        return steps
+
+    mapped = run()
+    monkeypatch.setattr(solver, "qcqp_prox", prox_by_solve)
+    solved = run()
+    assert len(mapped) == len(solved) == u0.size
+    for (plan, counts), (want, want_counts) in zip(mapped, solved):
+        assert counts == want_counts
+        assert np.max(np.abs(plan - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("p, seed, u0", [(1, 2, -3.0), (3, 4, -1.0)])
+def test_reported_violation_is_the_returned_plans(large, p, seed, u0):
+    # the diagnostics report the guard's own measurement of the returned
+    # plan; these states end a hair outside a row (1.8e-15, 3.3e-15)
+    # without a guard retry
+    st = random_feasible_state(large, np.random.default_rng(seed))
+    st.u0 = u0
+    agents = formulate_local(large, weight_preset("large", p), st)
+    res = solve_mpc(agents, state=st)
+    viol = plan_violation(large, st, res.u_plan, agents[0].shared.struct)
+    assert viol > 0.0
+    assert res.diagnostics.violation == viol
+
+
+def test_reported_violation_after_guard_retries(large, monkeypatch):
+    # the hard-braking case at p = 5 retries the guard at step 3 and
+    # returns a plan that still violates its rows
+    u0 = np.zeros(4)
+    u0[2:4] = -6.0
+    solve = loop.solve_mpc
+    seen = []
+
+    def step(agents, options=None, state=None):
+        res = solve(agents, options, state=state)
+        seen.append((res, plan_violation(large, state, res.u_plan,
+                                         agents[0].shared.struct)))
+        return res
+
+    monkeypatch.setattr(loop, "solve_mpc", step)
+    with pytest.raises(loop.SimulationError):
+        simulate(large, weight_preset("large", 5), Scenario("brake", u0))
+    res, viol = seen[-1]
+    assert res.diagnostics.guard_rounds > 0
+    assert viol > 1e-6
+    assert res.diagnostics.violation == viol
 
 
 def test_capped_runs_are_counted(small):
