@@ -2,10 +2,16 @@
 
 Problems have a PSD quadratic objective over a box intersected with convex
 quadratic inequalities 1/2 y'Ay + b'y + c <= 0 (affine rows use A = 0).
-Solved with a primal log-barrier and damped Newton steps, then polished by
-a Newton solve of the active-set KKT system, which brings the KKT residual
-to machine precision at these sizes.  The prox operator at the bottom is
-the building block of the operator-splitting rounds in the solver module.
+qcqp_solve tries cheap exits first: the unconstrained minimizer, the
+active set of a previous solution, and an active-set search that adds one
+violated row at a time.  On an active set with no curved row the KKT
+equations are linear and one solve of [H B'; B 0] gives the point and its
+multipliers; a set with a curved row is solved by Newton on the same
+equations.  Only when all of these fail does the solve follow a primal
+log-barrier with damped Newton steps, polished by the same active-set
+solve.  Every exit but the last barrier one is checked against the full
+KKT conditions.  The prox operator at the bottom is the building block of
+the operator-splitting rounds in the solver module.
 Its unconstrained point is affine in the anchor, so each problem keeps a
 prox map (ConvexQcqp.prox_map) built once per step size rho and metric
 object: on the free path a prox call is one matrix-vector product.
@@ -31,7 +37,8 @@ class ConvexQcqp:
     in the order of con_values: aff_B ((2d + m) x d) and aff_c hold their
     affine parts, lo - y <= 0 as [-I; lo] and y - hi <= 0 as [I; -hi];
     curved holds the ascending indices of the constraints with a nonzero
-    A and curved_A (k x d x d) those matrices.  A problem is not changed
+    A, is_curved marks them in a mask over all constraints, and curved_A
+    (k x d x d) holds those matrices.  A problem is not changed
     after construction; with_objective derives problems that share its
     stacks.
 
@@ -62,6 +69,8 @@ class ConvexQcqp:
             np.array([c for _, _, c in self.quads], dtype=float)])
         curved = [k for k, (A, _, _) in enumerate(self.quads) if np.any(A)]
         self.curved = 2 * d + np.array(curved, dtype=int)
+        self.is_curved = np.zeros(self.n_con, dtype=bool)
+        self.is_curved[self.curved] = True
         self.curved_A = np.array([self.quads[k][0] for k in curved],
                                  dtype=float).reshape(len(curved), d, d)
         self._prox = None
@@ -272,17 +281,36 @@ def _phase_done(prob: ConvexQcqp, y: np.ndarray, margin: float) -> bool:
 
 def _kkt_newton(prob: ConvexQcqp, y: np.ndarray, idx: np.ndarray,
                 lam_a: np.ndarray):
-    """Newton on the KKT equations with the rows idx held as equalities."""
+    """Solve the KKT equations with the rows idx held as equalities, from
+    the point y and the multipliers lam_a of those rows.  Returns the
+    point, the multipliers and whether the solve succeeded.
+
+    When no row of idx is curved the equations are linear,
+    [H B'; B 0] [y; lam] = [-q; -c] with B, c the rows' affine parts, and
+    one solve gives the answer: it has no stopping test, and a singular or
+    non-finite solve is a failure.  Otherwise Newton on the equations,
+    which stops at a residual of 1e-12 * (1 + max|q|)."""
     d = prob.dim
+    if not prob.is_curved[idx].any():
+        kkt = np.zeros((d + idx.size, d + idx.size))
+        kkt[:d, :d] = prob.H
+        kkt[:d, d:] = prob.aff_B[idx].T
+        kkt[d:, :d] = prob.aff_B[idx]
+        try:
+            sol = np.linalg.solve(
+                kkt, -np.concatenate([prob.q, prob.aff_c[idx]]))
+        except np.linalg.LinAlgError:
+            return y, lam_a, False
+        if not np.isfinite(sol).all():
+            return y, lam_a, False
+        return sol[:d], sol[d:], True
     yv = y.copy()
     lam_a = lam_a.copy()
     scale = 1.0 + float(np.max(np.abs(prob.q)))
     for _ in range(25):
         g = prob.con_values(yv)
         grads = prob.con_grads(yv)
-        stat = prob.H @ yv + prob.q
-        if idx.size:
-            stat = stat + grads[idx].T @ lam_a
+        stat = prob.H @ yv + prob.q + grads[idx].T @ lam_a
         res = np.concatenate([stat, g[idx]])
         if np.max(np.abs(res)) < 1e-12 * scale:
             return yv, lam_a, True
@@ -300,9 +328,7 @@ def _kkt_newton(prob: ConvexQcqp, y: np.ndarray, idx: np.ndarray,
         yv = yv + step[:d]
         lam_a = lam_a + step[d:]
     g = prob.con_values(yv)
-    stat = prob.H @ yv + prob.q
-    if idx.size:
-        stat = stat + prob.con_grads(yv)[idx].T @ lam_a
+    stat = prob.H @ yv + prob.q + prob.con_grads(yv)[idx].T @ lam_a
     res = np.concatenate([stat, g[idx]])
     return yv, lam_a, bool(np.max(np.abs(res)) < 1e-9 * scale)
 
@@ -335,51 +361,64 @@ def _polish(prob: ConvexQcqp, y: np.ndarray, lam: np.ndarray,
 
 
 def _active_set_solve(prob: ConvexQcqp, y: np.ndarray) -> QcqpResult | None:
-    """Combinatorial active-set search seeded from the unconstrained
-    minimizer y; every exit is verified against the full KKT conditions,
-    so a None just routes the problem to the barrier."""
-    act = set(np.flatnonzero(prob.con_values(y) > 0.0).tolist())
-    lam: dict[int, float] = {k: 0.0 for k in act}
-    seen = set()
+    """Active-set search from the unconstrained minimizer y, in the order
+    of Goldfarb and Idnani's dual method: it starts from the empty set and
+    each round adds the most violated row.  When the enlarged set fails
+    its KKT solve, the new row is tried in place of each active row in
+    ascending order.  A set whose row gradients at the current point are
+    linearly dependent counts as failed without a solve: its KKT system
+    is singular, as it is for a row parallel to an active box row.  Only
+    when no row is violated is a row with a negative multiplier dropped,
+    the most negative first.  Sets already seen are skipped, so a drop
+    that would return to one tries the next negative row, and a set holds
+    at most dim rows.  Every exit is verified against the full KKT
+    conditions, so a None just routes the problem to the barrier."""
+    act: list[int] = []
+    lam = np.zeros(0)
+    seen = {frozenset()}
     for _ in range(18):
-        key = frozenset(act)
-        if key in seen or len(act) > prob.dim + 1:
-            return None
-        seen.add(key)
-        idx = np.array(sorted(act), dtype=int)
-        y, lam_a, ok = _kkt_newton(prob, y, idx,
-                                   np.array([lam[k] for k in idx]))
-        if not ok:
-            return None
-        lam = {int(k): float(lam_a[pos]) for pos, k in enumerate(idx)}
         g = prob.con_values(y)
-        viol = [k for k in range(prob.n_con)
-                if k not in act and g[k] > 1e-10]
-        negs = [k for k in idx if lam[k] < -1e-10]
-        if viol:
-            kbest = max(viol, key=lambda k: g[k])
-            act.add(kbest)
-            lam[kbest] = 0.0
-        elif negs:
-            worst = min(negs, key=lambda k: lam[k])
-            act.discard(worst)
-            lam.pop(worst)
+        g[act] = -np.inf
+        new = int(np.argmax(g))
+        if g[new] > 1e-10:
+            cands = [act + [new]] + [act[:j] + [new] + act[j + 1:]
+                                     for j in range(len(act))]
+        elif lam.size and lam.min() < -1e-10:
+            cands = [act[:j] + act[j + 1:] for j in np.argsort(lam)
+                     if lam[j] < -1e-10]
         else:
-            done = _finish_active(prob, y, idx, lam_a)
+            idx = np.array(act, dtype=int)
+            done = _finish_active(prob, y, idx, lam)
             if done is None:
                 return None
-            yv, lam_full = done
-            return QcqpResult(yv, lam_full, "active")
+            return QcqpResult(done[0], done[1], "active")
+        start = dict(zip(act, lam.tolist()))
+        for cand in cands:
+            key = frozenset(cand)
+            if key in seen or len(cand) > prob.dim:
+                continue
+            seen.add(key)
+            cand = sorted(cand)
+            idx = np.array(cand, dtype=int)
+            if np.linalg.matrix_rank(prob.con_grads(y)[idx]) < idx.size:
+                continue
+            y_new, lam_new, ok = _kkt_newton(
+                prob, y, idx, np.array([start.get(k, 0.0) for k in cand]))
+            if ok:
+                break
+        else:
+            return None
+        act, y, lam = cand, y_new, lam_new
     return None
 
 
 def qcqp_solve(prob: ConvexQcqp, y0: np.ndarray | None = None,
                mu_final: float = 1e-11,
                warm: QcqpResult | None = None) -> QcqpResult:
-    """Solve the QCQP.  Tries the unconstrained minimizer and the active
-    set of a previous solution first, then follows the barrier path; the
-    active-set polish usually ends it early at machine precision, otherwise
-    the path is driven to mu_final.  An H that cannot be factored, H = 0
+    """Solve the QCQP.  Tries the unconstrained minimizer, the active set
+    of a previous solution and the active-set search first, then follows
+    the barrier path; the active-set polish usually ends it early at
+    machine precision, otherwise the path is driven to mu_final.  An H that cannot be factored, H = 0
     among them, gives no unconstrained minimizer; such a problem goes to
     the barrier unless a warm active set solves it."""
     try:

@@ -138,6 +138,41 @@ def prox_by_solve(prob, anchor, rho, warm=None, metric=None):
     return qcqp_solve(shifted, y0=anchor, warm=warm)
 
 
+def kkt_newton_loop(prob, y, idx, lam_a):
+    """Newton on the KKT equations of prob with the rows idx held as
+    equalities, from y and the multipliers lam_a: the kernel's iteration
+    for curved sets, run on any rows, affine ones included, as the
+    reference for the kernel's one-shot solve of affine sets.  Stops at a
+    residual of 1e-12 * (1 + max|q|); returns the point, the multipliers
+    and whether the residual fell below 1e-9 * (1 + max|q|)."""
+    d = prob.dim
+    yv, lam_a = y.copy(), lam_a.copy()
+    scale = 1.0 + float(np.max(np.abs(prob.q)))
+    for _ in range(25):
+        g = prob.con_values(yv)
+        grads = prob.con_grads(yv)
+        res = np.concatenate([prob.H @ yv + prob.q + grads[idx].T @ lam_a,
+                              g[idx]])
+        if np.max(np.abs(res)) < 1e-12 * scale:
+            return yv, lam_a, True
+        weights = np.zeros(prob.n_con)
+        weights[idx] = lam_a
+        jac = np.zeros((d + idx.size, d + idx.size))
+        jac[:d, :d] = prob.add_row_hessians(prob.H.copy(), weights)
+        jac[:d, d:] = grads[idx].T
+        jac[d:, :d] = grads[idx]
+        try:
+            step = np.linalg.solve(jac + 1e-14 * np.eye(jac.shape[0]), -res)
+        except np.linalg.LinAlgError:
+            return yv, lam_a, False
+        yv = yv + step[:d]
+        lam_a = lam_a + step[d:]
+    res = np.concatenate([
+        prob.H @ yv + prob.q + prob.con_grads(yv)[idx].T @ lam_a,
+        prob.con_values(yv)[idx]])
+    return yv, lam_a, bool(np.max(np.abs(res)) < 1e-9 * scale)
+
+
 def w_star_reference(config, weights, z, zp, v0, u0):
     """One-stage optimum of the unconstrained cost in relative-control
     coordinates, from the closed-form normal equations."""

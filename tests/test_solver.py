@@ -432,11 +432,11 @@ def test_prox_map_keeps_the_closed_loop(small, monkeypatch, p, scheme):
         assert np.max(np.abs(plan - want)) <= 1e-10
 
 
-@pytest.mark.parametrize("p, seed, u0", [(1, 2, -3.0), (3, 4, -1.0)])
+@pytest.mark.parametrize("p, seed, u0", [(1, 2, -3.0), (3, 0, -1.0)])
 def test_reported_violation_is_the_returned_plans(large, p, seed, u0):
     # the diagnostics report the guard's own measurement of the returned
-    # plan; these states end a hair outside a row (1.8e-15, 3.3e-15)
-    # without a guard retry
+    # plan; these states end a hair outside a row (1.8e-15 both) without
+    # a guard retry
     st = random_feasible_state(large, np.random.default_rng(seed))
     st.u0 = u0
     agents = formulate_local(large, weight_preset("large", p), st)
@@ -444,6 +444,37 @@ def test_reported_violation_is_the_returned_plans(large, p, seed, u0):
     viol = plan_violation(large, st, res.u_plan, agents[0].shared.struct)
     assert viol > 0.0
     assert res.diagnostics.violation == viol
+
+
+def test_cold_p3_step_stays_off_the_barrier(small, monkeypatch):
+    # the first p1-cold-style state of default_rng(3) (leader at +1.31
+    # m/s^2) at p = 3 on the default scheme: hundreds of its prox problems
+    # are not solved by the warm polish, and a barrier exit is neither a
+    # KKT point (see test_barrier_exit_is_a_kkt_point) nor cheap, so the
+    # active-set search must solve each of them
+    rng = np.random.default_rng(3)
+    st = random_feasible_state(small, rng)
+    v0 = float(st.v[0])
+    st.u0 = float(rng.uniform(
+        max(small.leader.accel_min, (small.speed_min - v0) / small.tau),
+        min(small.leader.accel_max, (small.speed_max - v0) / small.tau)))
+    assert st.u0 == pytest.approx(1.3114318140738135, abs=1e-12)
+    statuses = []
+    qcqp_prox = solver.qcqp_prox
+
+    def prox(*args, **kwargs):
+        res = qcqp_prox(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(solver, "qcqp_prox", prox)
+    agents = formulate_local(small, weight_preset("small", 3), st)
+    res = solve_mpc(agents, state=st)
+    assert len(statuses) > 10000
+    assert "barrier" not in statuses
+    assert res.diagnostics.feasible
+    assert plan_violation(small, st, res.u_plan,
+                          agents[0].shared.struct) <= SolverConfig().feas_tol
 
 
 def test_reported_violation_after_guard_retries(large, monkeypatch):
