@@ -5,8 +5,10 @@ u = (u_1, ..., u_n) with u_i in R^p ordered by time.  The spacing error
 and relative-speed recursions are linear in the effective accelerations,
 so the tracking cost is an explicit quadratic in the stacked accelerations
 with state-independent curvature.  This module builds that quadratic, its
-per-vehicle decomposition, and the horizon constraint functions used by
-the solver.
+per-vehicle decomposition, and the horizon constraint rows used by the
+solver.  One row model (HorizonRows, and the row functions built on it)
+serves one vehicle or, given stacked parameters (platoon.stack_params),
+the whole platoon along a leading axis in a single call.
 """
 
 from __future__ import annotations
@@ -88,19 +90,13 @@ def build_structural(n: int, p: int) -> StructuralMatrices:
         raise ValueError("need n >= 1 and p >= 1")
     S_n = np.tril(np.ones((n, n)))
     S_n_inv = np.eye(n) - np.diag(np.ones(n - 1), -1) if n > 1 else np.eye(1)
-    S_p = np.tril(np.ones((p, p)))
-    S_p_shift = np.zeros((p, p))
-    if p > 1:
-        S_p_shift[1:, :] = S_p[:-1, :]
-    R_p = np.zeros((p, p))
-    for j in range(p):
-        for s in range(j + 1):
-            R_p[j, s] = 2 * (j - s) + 1
-    E = np.zeros((n * p, n * p))
-    for k in range(p):
-        for s in range(n):
-            E[n * k + s, p * s + k] = 1.0
-    return StructuralMatrices(n, p, S_n, S_n_inv, S_p, S_p_shift, R_p, E)
+    steps = np.arange(p)
+    R_p = np.tril(2.0 * np.subtract.outer(steps, steps) + 1.0)
+    # time-major row n * k + s reads vehicle-major entry p * s + k
+    rows = np.arange(n * p)
+    E = np.eye(n * p)[p * (rows % n) + rows // n]
+    return StructuralMatrices(n, p, S_n, S_n_inv, np.tri(p), np.tri(p, k=-1),
+                              R_p, E)
 
 
 @dataclass
@@ -358,11 +354,26 @@ def decomposition_residual(model: QuadraticModel,
 
 # ---------------------------------------------------------------------------
 # horizon acceleration maps and constraint functions
+#
+# One row model serves one vehicle or the whole platoon.  Control
+# sequences u_vec are (..., p) arrays; speeds, tracking errors and the
+# fields of the VehicleParams are scalars or arrays over the same leading
+# axes (platoon.stack_params stacks the vehicles' fields), and the results
+# carry those axes in front.
 
-def pseudo_speeds(tau: float, v: float, u_vec: np.ndarray) -> np.ndarray:
+def _col(x, k: int = 1) -> np.ndarray:
+    """A scalar or per-vehicle quantity with k trailing unit axes, so that
+    it broadcasts against the horizon axes of the rows."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape(x.shape + (1,) * k)
+
+
+def pseudo_speeds(tau: float, v, u_vec: np.ndarray) -> np.ndarray:
     """sigma_j = v + tau * (cumulative control sum)_j for j = 0..p.
     These are the loss-free speed predictions along the horizon."""
-    return np.concatenate(([v], v + tau * np.cumsum(u_vec)))
+    cum = np.cumsum(u_vec, axis=-1)
+    return _col(v) + tau * np.concatenate((np.zeros_like(cum[..., :1]), cum),
+                                          axis=-1)
 
 
 def exact_accel(params: VehicleParams, tau: float, v: float,
@@ -377,104 +388,134 @@ def exact_accel(params: VehicleParams, tau: float, v: float,
     return out
 
 
-def approx_accel(params: VehicleParams, tau: float, v: float,
+def _accel(params: VehicleParams, sig: np.ndarray,
+           u_vec: np.ndarray) -> np.ndarray:
+    """approx_accel given the pseudo speeds sig of u_vec."""
+    sig = sig[..., :-1]
+    return u_vec - _col(params.drag) * sig * sig - _col(params.roll) * GRAVITY
+
+
+def _accel_jacobian(params: VehicleParams, tau: float,
+                    sig: np.ndarray) -> np.ndarray:
+    """approx_accel_jacobian given the pseudo speeds sig of the controls:
+    the speed of step t reads the controls before it."""
+    p = sig.shape[-1] - 1
+    return (np.eye(p) - 2.0 * _col(params.drag, 2) * tau
+            * sig[..., :-1, None] * np.tri(p, k=-1))
+
+
+def approx_accel(params: VehicleParams, tau: float, v,
                  u_vec: np.ndarray) -> np.ndarray:
     """Effective accelerations with drag evaluated at the loss-free speed
     predictions; exact when drag == 0 and O(drag^2) close otherwise."""
-    sig = pseudo_speeds(tau, v, u_vec)[:-1]
-    return u_vec - params.drag * sig * sig - params.roll * GRAVITY
+    return _accel(params, pseudo_speeds(tau, v, u_vec), u_vec)
 
 
-def approx_accel_jacobian(params: VehicleParams, tau: float, v: float,
+def approx_accel_jacobian(params: VehicleParams, tau: float, v,
                           u_vec: np.ndarray) -> np.ndarray:
-    p = len(u_vec)
-    shift = np.zeros((p, p))
-    if p > 1:
-        shift[1:, :] = np.tril(np.ones((p, p)))[:-1, :]
-    sig_prev = pseudo_speeds(tau, v, u_vec)[:-1]
-    return (np.eye(p) - 2.0 * params.drag * tau * sig_prev[:, None] * shift)
+    return _accel_jacobian(params, tau, pseudo_speeds(tau, v, u_vec))
 
 
-def speed_constraint_fn(config: PlatoonConfig, params: VehicleParams,
-                        v: float, u_vec: np.ndarray):
+class HorizonRows:
+    """The speed and safety rows of one vehicle, or of a stack of
+    vehicles, at the control sequences u_vec.  Construction evaluates the
+    pseudo speeds sig and the speed rows once: q (..., p), the predicted
+    speeds with drag charged at the loss-free speeds, and their Jacobian
+    q_grad (..., p, p); the speed band is speed_min <= q <= speed_max.
+    safety() and hessians() build the safety rows on them."""
+
+    def __init__(self, config: PlatoonConfig, params: VehicleParams, v,
+                 u_vec: np.ndarray):
+        tau = config.tau
+        self.config, self.params = config, params
+        self.u = np.asarray(u_vec, dtype=float)
+        p = self.u.shape[-1]
+        sig = self.sig = pseudo_speeds(tau, v, self.u)
+        drag = _col(params.drag)
+        self.q = sig[..., 1:] - tau * (
+            np.arange(1, p + 1) * _col(params.roll) * GRAVITY
+            + drag * np.cumsum(sig[..., :-1] ** 2, axis=-1))
+        # stage j charges drag on the squared speeds of the steps before it
+        s_p = np.tri(p)
+        self.q_grad = tau * s_p - 2.0 * tau * tau * drag[..., None] * (
+            np.tri(p, k=-1) @ (sig[..., 1:, None] * s_p))
+
+    def safety(self, prev_params: VehicleParams, v_prev, z, zp,
+               u_prev_vec: np.ndarray, struct: StructuralMatrices):
+        """Horizon safety residuals h_j <= 0 and their Jacobians w.r.t. the
+        own and predecessor control sequences.  The leader is handled by
+        passing loss-free prev_params and a constant control sequence."""
+        config, par, tau = self.config, self.params, self.config.tau
+        p = self.u.shape[-1]
+        kappa = 0.5 * struct.R_p
+        sig_prev = pseudo_speeds(tau, v_prev, u_prev_vec)
+        a_rel = (_accel(prev_params, sig_prev, u_prev_vec)
+                 - _accel(par, self.sig, self.u))
+        gap = (_col(z) + config.gap + np.arange(1, p + 1) * tau * _col(zp)
+               + tau * tau * (a_rel @ kappa.T))
+        margin = self.q - config.speed_min
+        h = (_col(par.length) + _col(par.headway) * self.q
+             - margin * margin / (2.0 * _col(par.accel_min)) - gap)
+        coef = _col(par.headway) - margin / _col(par.accel_min)
+        g_own = (coef[..., None] * self.q_grad
+                 + tau * tau * (kappa @ _accel_jacobian(par, tau, self.sig)))
+        g_prev = -tau * tau * (kappa @ _accel_jacobian(prev_params, tau,
+                                                       sig_prev))
+        return h, g_own, g_prev
+
+    def speed_hessians(self, struct: StructuralMatrices) -> np.ndarray:
+        """Per-stage Hessians of the speed rows q, (..., p, p, p); they do
+        not depend on the controls."""
+        s_p = struct.S_p
+        outers = s_p[:, :, None] * s_p[:, None, :]
+        return (-2.0 * self.config.tau ** 3 * _col(self.params.drag, 3)
+                * np.tensordot(struct.S_p_shift, outers, 1))
+
+    def hessians(self, prev_params: VehicleParams,
+                 struct: StructuralMatrices):
+        """Per-stage Hessians of the safety residuals.  There is no cross
+        curvature between the own and predecessor controls, so each Hessian
+        is block diagonal; the predecessor block is control-independent
+        because its acceleration map is quadratic."""
+        config, par, tau = self.config, self.params, self.config.tau
+        s_p = struct.S_p
+        # stage j weighs the outer products of rows t < j by kappa[j, t + 1]
+        wk = np.tensordot(0.5 * struct.R_p[:, 1:],
+                          (s_p[:, :, None] * s_p[:, None, :])[:-1], 1)
+        d2q = self.speed_hessians(struct)
+        grads = self.q_grad
+        own = (_col(par.headway, 3) * d2q
+               - (grads[..., :, :, None] * grads[..., :, None, :]
+                  + _col(self.q - config.speed_min, 2) * d2q)
+               / _col(par.accel_min, 3)
+               - 2.0 * tau ** 4 * _col(par.drag, 3) * wk)
+        prev = 2.0 * tau ** 4 * _col(prev_params.drag, 3) * wk
+        return own, prev
+
+
+def speed_constraint_fn(config: PlatoonConfig, params: VehicleParams, v,
+                        u_vec: np.ndarray):
     """Predicted speeds q_j (j = 1..p) with drag charged at the loss-free
     speeds, and their Jacobian.  The speed band constraint is
     speed_min <= q_j <= speed_max."""
-    tau = config.tau
-    p = len(u_vec)
-    sig = pseudo_speeds(tau, v, u_vec)
-    sq_cum = np.cumsum(sig[:-1] ** 2)
-    j_idx = np.arange(1, p + 1)
-    q = (sig[1:] - tau * (j_idx * params.roll * GRAVITY
-                          + params.drag * sq_cum))
-    s_p = np.tril(np.ones((p, p)))
-    grad = tau * s_p.copy()
-    for j in range(p):
-        for s in range(1, j + 1):
-            grad[j, :] -= tau * 2.0 * tau * params.drag * sig[s] * s_p[s - 1, :]
-    return q, grad
+    rows = HorizonRows(config, params, v, u_vec)
+    return rows.q, rows.q_grad
 
 
 def safety_constraint_fn(config: PlatoonConfig, params: VehicleParams,
-                         prev_params: VehicleParams, v: float, v_prev: float,
-                         z: float, zp: float, u_vec: np.ndarray,
-                         u_prev_vec: np.ndarray, struct: StructuralMatrices):
-    """Horizon safety residuals h_j <= 0 and their Jacobians w.r.t. the own
-    and predecessor control sequences.  The leader is handled by passing
-    loss-free prev_params and a constant control sequence."""
-    tau = config.tau
-    p = len(u_vec)
-    kappa = 0.5 * struct.R_p
-    q, q_grad = speed_constraint_fn(config, params, v, u_vec)
-    a_own = approx_accel(params, tau, v, u_vec)
-    a_prev = approx_accel(prev_params, tau, v_prev, u_prev_vec)
-    ja_own = approx_accel_jacobian(params, tau, v, u_vec)
-    ja_prev = approx_accel_jacobian(prev_params, tau, v_prev, u_prev_vec)
-
-    j_idx = np.arange(1, p + 1)
-    gap = (z + config.gap + j_idx * tau * zp
-           + tau * tau * (kappa @ (a_prev - a_own)))
-    margin = q - config.speed_min
-    h = (params.length + params.headway * q
-         - margin * margin / (2.0 * params.accel_min) - gap)
-
-    coef = params.headway - margin / params.accel_min
-    g_own = (coef[:, None] * q_grad
-             + tau * tau * (kappa @ ja_own))
-    g_prev = -tau * tau * (kappa @ ja_prev)
-    return h, g_own, g_prev
+                         prev_params: VehicleParams, v, v_prev, z, zp,
+                         u_vec: np.ndarray, u_prev_vec: np.ndarray,
+                         struct: StructuralMatrices):
+    """HorizonRows.safety of the rows at u_vec."""
+    return HorizonRows(config, params, v, u_vec).safety(
+        prev_params, v_prev, z, zp, u_prev_vec, struct)
 
 
 def safety_constraint_hessians(config: PlatoonConfig, params: VehicleParams,
-                               prev_params: VehicleParams, v: float,
+                               prev_params: VehicleParams, v,
                                u_vec: np.ndarray, struct: StructuralMatrices):
-    """Per-stage Hessians of the safety residuals.  There is no cross
-    curvature between the own and predecessor controls, so each Hessian is
-    block diagonal; the predecessor block is control-independent because
-    its acceleration map is quadratic."""
-    tau = config.tau
-    p = len(u_vec)
-    kappa = 0.5 * struct.R_p
-    s_p = np.tril(np.ones((p, p)))
-    q, q_grad = speed_constraint_fn(config, params, v, u_vec)
-    outers = [np.outer(s_p[t - 1], s_p[t - 1]) for t in range(1, p)]
-
-    own = np.zeros((p, p, p))
-    prev = np.zeros((p, p, p))
-    d2q = np.zeros((p, p))
-    for j in range(1, p + 1):
-        if j > 1:
-            d2q = d2q - 2.0 * tau ** 3 * params.drag * outers[j - 2]
-        wk = np.zeros((p, p))
-        for t in range(1, j):
-            wk += kappa[j - 1, t] * outers[t - 1]
-        own[j - 1] = (params.headway * d2q
-                      - (np.outer(q_grad[j - 1], q_grad[j - 1])
-                         + (q[j - 1] - config.speed_min) * d2q)
-                      / params.accel_min
-                      - 2.0 * tau ** 4 * params.drag * wk)
-        prev[j - 1] = 2.0 * tau ** 4 * prev_params.drag * wk
-    return own, prev
+    """HorizonRows.hessians of the rows at u_vec."""
+    return HorizonRows(config, params, v, u_vec).hessians(prev_params, struct)
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +611,7 @@ def local_objective_hessian(lo: LocalObjective,
             lo.params[b], tau, lo.speeds[b], u_by_block[b])
     hess = ja_full.T @ lo.M @ ja_full + tau * tau * lo.Psi_hat
     # curvature of the acceleration map itself
-    s_p = np.tril(np.ones((p, p)))
-    shift = np.zeros((p, p))
-    if p > 1:
-        shift[1:, :] = s_p[:-1, :]
+    shift = np.tri(p, k=-1)
     for b in range(nblk):
         par = lo.params[b]
         if par.drag == 0.0:
@@ -636,7 +674,7 @@ def restricted_convex_sets(config: PlatoonConfig, i: int, v: float,
               + tau * params.drag * grave_sq - v) / tau
 
     kappa = 0.5 * struct.R_p
-    s_p = np.tril(np.ones((p, p)))
+    s_p = struct.S_p
     includes_prev = i > 1
     dim = 2 * p if includes_prev else p
     own0 = p if includes_prev else 0

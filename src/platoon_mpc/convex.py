@@ -141,7 +141,6 @@ class QcqpResult:
     y: np.ndarray
     lam: np.ndarray
     status: str
-    newton_steps: int = 0
 
 
 def kkt_residual(prob: ConvexQcqp, y: np.ndarray,
@@ -158,11 +157,10 @@ def kkt_residual(prob: ConvexQcqp, y: np.ndarray,
 
 
 def _newton_barrier(prob: ConvexQcqp, y: np.ndarray, t: float,
-                    max_steps: int = 60) -> tuple[np.ndarray, int]:
+                    max_steps: int = 60) -> np.ndarray:
     """Damped Newton on t*f(y) - sum log(-g(y)) from a strictly
     feasible y."""
     d = prob.dim
-    steps = 0
     for _ in range(max_steps):
         g = prob.con_values(y)
         grads = prob.con_grads(y)
@@ -190,12 +188,11 @@ def _newton_barrier(prob: ConvexQcqp, y: np.ndarray, t: float,
                     accepted = True
                     break
             alpha *= 0.5
-        steps += 1
         if not accepted:
             break
         if decrement < 1e-12:
             break
-    return y, steps
+    return y
 
 
 def _strictly_feasible_start(prob: ConvexQcqp, y0: np.ndarray | None,
@@ -289,7 +286,11 @@ def _kkt_newton(prob: ConvexQcqp, y: np.ndarray, idx: np.ndarray,
     [H B'; B 0] [y; lam] = [-q; -c] with B, c the rows' affine parts, and
     one solve gives the answer: it has no stopping test, and a singular or
     non-finite solve is a failure.  Otherwise Newton on the equations,
-    which stops at a residual of 1e-12 * (1 + max|q|)."""
+    which stops at a residual of 1e-12 * (1 + max|q|) once the residual
+    and every |lam * g| of the set are also at most 1e-10, a tenth of
+    the absolute KKT check of _finish_active: |q| is in the thousands on
+    prox problems, where the relative stop alone leaves correct sets
+    above that check."""
     d = prob.dim
     if not prob.is_curved[idx].any():
         kkt = np.zeros((d + idx.size, d + idx.size))
@@ -312,7 +313,8 @@ def _kkt_newton(prob: ConvexQcqp, y: np.ndarray, idx: np.ndarray,
         grads = prob.con_grads(yv)
         stat = prob.H @ yv + prob.q + grads[idx].T @ lam_a
         res = np.concatenate([stat, g[idx]])
-        if np.max(np.abs(res)) < 1e-12 * scale:
+        if (np.max(np.abs(res)) < min(1e-12 * scale, 1e-10)
+                and np.max(np.abs(lam_a * g[idx])) <= 1e-10):
             return yv, lam_a, True
         weights = np.zeros(prob.n_con)
         weights[idx] = lam_a
@@ -371,12 +373,14 @@ def _active_set_solve(prob: ConvexQcqp, y: np.ndarray) -> QcqpResult | None:
     when no row is violated is a row with a negative multiplier dropped,
     the most negative first.  Sets already seen are skipped, so a drop
     that would return to one tries the next negative row, and a set holds
-    at most dim rows.  Every exit is verified against the full KKT
-    conditions, so a None just routes the problem to the barrier."""
+    at most dim rows.  The search runs at most 3 * n_con rounds, room for
+    every row to enter, leave and enter again.  Every exit is verified
+    against the full KKT conditions, so a None just routes the problem to
+    the barrier."""
     act: list[int] = []
     lam = np.zeros(0)
     seen = {frozenset()}
-    for _ in range(18):
+    for _ in range(3 * prob.n_con):
         g = prob.con_values(y)
         g[act] = -np.inf
         new = int(np.argmax(g))
@@ -448,11 +452,9 @@ def _solve_from(prob: ConvexQcqp, free: np.ndarray | None,
     y = _strictly_feasible_start(prob, y0)
     m = prob.n_con
     t = max(1.0, m / (1.0 + abs(prob.value(y))))
-    total = 0
     for target in (1e-6, mu_final):
         while True:
-            y, steps = _newton_barrier(prob, y, t)
-            total += steps
+            y = _newton_barrier(prob, y, t)
             if m / t <= target:
                 break
             t *= 10.0
@@ -462,10 +464,10 @@ def _solve_from(prob: ConvexQcqp, free: np.ndarray | None,
             polished = _polish(prob, y, lam, active)
             if polished is not None:
                 yv, lam_full = polished
-                return QcqpResult(yv, lam_full, "polished", total)
+                return QcqpResult(yv, lam_full, "polished")
         t *= 10.0
     lam = 1.0 / ((t / 10.0) * np.maximum(-prob.con_values(y), 1e-300))
-    return QcqpResult(y, lam, "barrier", total)
+    return QcqpResult(y, lam, "barrier")
 
 
 def qcqp_prox(prob: ConvexQcqp, anchor: np.ndarray, rho: float,

@@ -10,7 +10,7 @@ braking-to-minimum-speed distance at all times.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -63,6 +63,15 @@ class VehicleParams:
         if self.drag * v_max * v_max + self.roll * GRAVITY >= self.accel_max:
             raise ValueError(
                 "losses at v_max exceed accel_max; platoon cannot hold speed")
+
+
+def stack_params(vehicles: list[VehicleParams]) -> VehicleParams:
+    """The listed vehicles as one VehicleParams whose fields are arrays in
+    list order, which the horizon rows of the assembly module broadcast
+    over."""
+    return VehicleParams(**{
+        f.name: np.array([getattr(veh, f.name) for veh in vehicles],
+                         dtype=float) for f in fields(VehicleParams)})
 
 
 @dataclass
@@ -124,6 +133,17 @@ class PlatoonConfig:
     @property
     def roll(self) -> np.ndarray:
         return self._col("roll")
+
+    @property
+    def followers(self) -> VehicleParams:
+        """Every controlled vehicle, stacked (stack_params)."""
+        return stack_params(self.vehicles)
+
+    @property
+    def predecessors(self) -> VehicleParams:
+        """Every controlled vehicle's predecessor, the leader first,
+        stacked (stack_params)."""
+        return stack_params([self.leader] + self.vehicles[:-1])
 
     def to_dict(self) -> dict:
         return asdict(self)

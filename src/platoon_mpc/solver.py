@@ -8,14 +8,18 @@ positions.  The splitting iterates of all agents live in one
 SplittingState on the agents' SharedContext, as stacked vectors in
 ConsensusLayout order; agent i's local vector is the slice
 layout.slices[i - 1] of each.  For a one-step horizon the problem is a
-convex QCQP and a single splitting run solves it.  For longer horizons the nonconvex speed
-and safety rows are replaced by quadratic majorants around the current
-iterate and the resulting convex subproblems are re-solved until the
-iterates settle; the first iterate comes from the loss-free cost minimized
-over inner convex restrictions of the true constraint sets, so every later
-iterate inherits feasibility.  When the caller sets a tolerance, the
-longer horizons run the convergent variant of this scheme (see
-SolverConfig.convergent).
+convex QCQP and a single splitting run solves it.  For longer horizons
+the nonconvex speed and safety rows are replaced by quadratic majorants
+around the current iterate and the resulting convex subproblems are
+re-solved until the iterates settle; the first iterate comes from the
+loss-free cost minimized over inner convex restrictions of the true
+constraint sets, so every later iterate inherits feasibility.  When the
+caller sets a tolerance, the longer horizons run the convergent variant
+of this scheme (see SolverConfig.convergent).  The speed and safety rows come from the row
+model of the assembly module, evaluated once per call for the whole
+platoon: in plan_violation, for the one-step problems of a step and for
+each linearization, where every agent's rows read its own block and its
+own copy of its predecessor's.
 """
 
 from __future__ import annotations
@@ -25,16 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (DecomposedModel, LocalObjective, QuadraticModel,
-                       StructuralMatrices, WeightSchedule,
+from .assembly import (DecomposedModel, HorizonRows, LocalObjective,
+                       QuadraticModel, StructuralMatrices, WeightSchedule,
                        assemble_quadratic_model, build_local_objectives,
                        build_structural, decompose_model, local_objective,
-                       local_objective_hessian, restricted_convex_sets,
-                       safety_constraint_fn, safety_constraint_hessians,
-                       speed_constraint_fn)
+                       local_objective_hessian, restricted_convex_sets)
 from .convex import (ConvexQcqp, QcqpInfeasibleError, QcqpResult, box_prox,
                      qcqp_prox, qcqp_solve)
-from .platoon import GRAVITY, PlatoonConfig, PlatoonState, VehicleParams
+from .platoon import GRAVITY, PlatoonConfig, PlatoonState
 
 # splitting tolerances per horizon length; the p = 1 entry is the single
 # convex run and is kept tight because the closed-loop stationary offsets
@@ -255,25 +257,17 @@ def _refresh(agents: list[AgentState], state: PlatoonState) -> None:
     sh.state = state.copy()
 
 
-def _prev_of(config: PlatoonConfig, i: int) -> VehicleParams:
-    return config.leader if i == 1 else config.vehicles[i - 2]
-
-
-def _tracking(config: PlatoonConfig, state: PlatoonState, i: int):
-    """State pieces entering vehicle i's constraint rows."""
-    z = state.spacing_error(config.gap)
-    zp = state.rel_speed()
-    return (float(state.v[i]), float(state.v[i - 1]), float(z[i - 1]),
-            float(zp[i - 1]))
-
-
-def _prev_controls(a: AgentState, u_loc: np.ndarray) -> np.ndarray:
-    """The predecessor sequence seen by agent i's safety rows: its copy in
-    the local vector u_loc, or the constant leader control for the first
-    vehicle."""
-    if a.i == 1:
-        return np.full(a.p, a.shared.state.u0)
-    return u_loc[a.sl(a.own_pos - 1)]
+def _platoon_rows(config: PlatoonConfig, state: PlatoonState,
+                  u_own: np.ndarray, u_prev: np.ndarray,
+                  struct: StructuralMatrices):
+    """The row model of every vehicle at the (n, p) own control sequences
+    u_own, whose safety rows read the predecessor sequences u_prev (row 0
+    holds the leader's): the HorizonRows, and the safety residuals with
+    their Jacobians."""
+    rows = HorizonRows(config, config.followers, state.v[1:], u_own)
+    return rows, rows.safety(config.predecessors, state.v[:-1],
+                             state.spacing_error(config.gap),
+                             state.rel_speed(), u_prev, struct)
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +282,13 @@ class ConsensusLayout:
     zero when the block has fewer holders.  scatter maps every stacked
     entry to its entry of the flat (n, p) plan, own maps the plan back to
     each owner's block, and owner maps every stacked entry to the owner's
-    copy of it.  The layout owns the agents' message fabric, net: building
-    the plan checks every route against it, so a copy held beyond a
-    neighbor raises LocalityError; a round then sends one message out and
-    one back per held copy."""
+    copy of it.  Row i - 1 of prev holds agent i's copy of its
+    predecessor's block; the first agent's predecessor is the leader, so
+    its row points one past the stacked vector, where callers append the
+    leader's control.  The layout owns the agents' message fabric, net:
+    building the plan checks every route against it, so a copy held
+    beyond a neighbor raises LocalityError; a round then sends one
+    message out and one back per held copy."""
 
     def __init__(self, agents: list[AgentState]):
         p, n = agents[0].p, len(agents)
@@ -300,6 +297,7 @@ class ConsensusLayout:
         holders: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self.slices = []
         self.own = np.empty(n * p, dtype=int)
+        self.prev = np.empty((n, p), dtype=int)
         start = copies = 0
         for a in agents:
             for pos, j in enumerate(a.blocks):
@@ -310,12 +308,14 @@ class ConsensusLayout:
                 holders[j - 1].append((a.i, start + pos * p))
             self.own[(a.i - 1) * p:a.i * p] = (start + a.own_pos * p
                                                + np.arange(p))
+            self.prev[a.i - 1] = start + (a.own_pos - 1) * p + np.arange(p)
             self.slices.append(slice(start, start + a.dim))
             start += a.dim
         self.copy_idx = np.full((max(map(len, holders)), n * p), start)
         for j, held in enumerate(holders):
             for h, (_, first) in enumerate(sorted(held)):
                 self.copy_idx[h, j * p:(j + 1) * p] = first + np.arange(p)
+        self.prev[0] = start
         self.count = np.repeat([float(len(held)) for held in holders], p)
         self.scatter = np.concatenate(
             [np.arange((j - 1) * p, j * p) for a in agents for j in a.blocks])
@@ -497,37 +497,26 @@ def _stationarity(st: SplittingState) -> float:
 def plan_violation(config: PlatoonConfig, state: PlatoonState,
                    u_plan: np.ndarray, struct: StructuralMatrices) -> float:
     """Worst violation of the boxes, speed band and safety rows of the
-    horizon model at a full (n, p) control plan."""
-    n, p = u_plan.shape
-    z = state.spacing_error(config.gap)
-    zp = state.rel_speed()
-    worst = 0.0
-    for i in range(1, n + 1):
-        par = config.vehicles[i - 1]
-        u = u_plan[i - 1]
-        worst = max(worst, float(np.max(par.accel_min - u)),
-                    float(np.max(u - par.accel_max)))
-        q, _ = speed_constraint_fn(config, par, float(state.v[i]), u)
-        worst = max(worst, float(np.max(config.speed_min - q)),
-                    float(np.max(q - config.speed_max)))
-        prev = _prev_of(config, i)
-        u_prev = (np.full(p, state.u0) if i == 1 else u_plan[i - 2])
-        h, _, _ = safety_constraint_fn(
-            config, par, prev, float(state.v[i]), float(state.v[i - 1]),
-            float(z[i - 1]), float(zp[i - 1]), u, u_prev, struct)
-        worst = max(worst, float(np.max(h)))
-    return worst
+    horizon model at a full (n, p) control plan, from one evaluation of the
+    whole platoon's rows; 0.0 when every row holds."""
+    u_prev = np.vstack((np.full((1, u_plan.shape[1]), state.u0),
+                        u_plan[:-1]))
+    rows, (h, _, _) = _platoon_rows(config, state, u_plan, u_prev, struct)
+    return max(0.0, float(np.max(config.accel_min[:, None] - u_plan)),
+               float(np.max(u_plan - config.accel_max[:, None])),
+               float(np.max(config.speed_min - rows.q)),
+               float(np.max(rows.q - config.speed_max)),
+               float(np.max(h)))
 
 
-def _embed(dim: int, pos_vecs: list[tuple[slice, np.ndarray]]) -> np.ndarray:
+def _embed(dim: int, sl: slice, vec: np.ndarray) -> np.ndarray:
     out = np.zeros(dim)
-    for sl, vec in pos_vecs:
-        out[sl] = vec
+    out[sl] = vec
     return out
 
 
 # ---------------------------------------------------------------------------
-# per-vehicle constraint rows
+# constraint rows of the one-step and restricted problems
 #
 # Vehicle i's speed and safety rows involve only its own controls and its
 # predecessor's.  The builders return them over the (predecessor, own)
@@ -535,44 +524,35 @@ def _embed(dim: int, pos_vecs: list[tuple[slice, np.ndarray]]) -> np.ndarray:
 # the leader; _place writes them into an agent's local vector or into the
 # whole platoon's, so the split and the unsplit problems share the rows.
 
-def _losses(config: PlatoonConfig, state: PlatoonState,
-            vehicles) -> np.ndarray:
-    """Drag and rolling losses of the listed (1-based) vehicles at their
-    measured speeds."""
-    return np.array([config.vehicles[j - 1].drag * state.v[j] ** 2
-                     + config.vehicles[j - 1].roll * GRAVITY
-                     for j in vehicles])
+def _losses(config: PlatoonConfig, state: PlatoonState) -> np.ndarray:
+    """Drag and rolling losses of every vehicle at its measured speed."""
+    return config.drag * state.v[1:] ** 2 + config.roll * GRAVITY
 
 
 def _one_step_rows(config: PlatoonConfig, state: PlatoonState,
-                   struct: StructuralMatrices, i: int) -> list:
-    """Speed band and safety row of vehicle i at the one-step horizon,
+                   struct: StructuralMatrices) -> list:
+    """Speed band and safety row of every vehicle at the one-step horizon,
     which is exactly quadratic: drag is charged at the measured speed and
-    the safety row is expanded around u = 0."""
-    tau = config.tau
-    par = config.vehicles[i - 1]
-    prev = _prev_of(config, i)
-    v, v_prev, z, zp = _tracking(config, state, i)
-    e_own = float(_losses(config, state, [i])[0])
-    width = 2 if i > 1 else 1
-    up = np.zeros(width)
-    up[-1] = tau
-    u_prev0 = np.array([state.u0]) if i == 1 else np.zeros(1)
-    h0, g_own0, g_prev0 = safety_constraint_fn(
-        config, par, prev, v, v_prev, z, zp, np.zeros(1), u_prev0, struct)
-    own_h, _ = safety_constraint_hessians(config, par, prev, v, np.zeros(1),
-                                          struct)
-    A = np.zeros((width, width))
-    A[-1, -1] = own_h[0, 0, 0]
-    b = np.zeros(width)
-    b[-1] = g_own0[0, 0]
-    if i > 1:
-        b[0] = g_prev0[0, 0]
-    return [(np.zeros((width, width)), -up,
-             config.speed_min - v + tau * e_own),
-            (np.zeros((width, width)), up,
-             v - tau * e_own - config.speed_max),
-            (A, b, float(h0[0]))]
+    the safety row is expanded around u = 0.  One evaluation of the
+    platoon's rows gives all of them; entry i - 1 holds vehicle i's."""
+    tau, n, v = config.tau, config.n, state.v[1:]
+    e = _losses(config, state)
+    u_prev0 = np.zeros((n, 1))
+    u_prev0[0] = state.u0
+    rows, (h0, g_own0, g_prev0) = _platoon_rows(
+        config, state, np.zeros((n, 1)), u_prev0, struct)
+    own_h, _ = rows.hessians(config.predecessors, struct)
+    # columns (predecessor, own); the first vehicle keeps the own column
+    b = np.zeros((n, 3, 2))
+    b[:, :2, 1] = (-tau, tau)
+    b[1:, 2, 0] = g_prev0[1:, 0, 0]
+    b[:, 2, 1] = g_own0[:, 0, 0]
+    A = np.zeros((n, 3, 2, 2))
+    A[:, 2, 1, 1] = own_h[:, 0, 0, 0]
+    c = np.stack([config.speed_min - v + tau * e,
+                  v - tau * e - config.speed_max, h0[:, 0]], axis=1)
+    return [list(zip(A[i, :, -w:, -w:], b[i, :, -w:], c[i]))
+            for i, w in enumerate([1] + [2] * (n - 1))]
 
 
 def _restricted_rows(config: PlatoonConfig, state: PlatoonState,
@@ -580,15 +560,15 @@ def _restricted_rows(config: PlatoonConfig, state: PlatoonState,
     """Inner convex restrictions of vehicle i's horizon rows: the
     cumulative-control corridor of its speed band, then the convex safety
     rows."""
-    v, v_prev, z, zp = _tracking(config, state, i)
-    rs = restricted_convex_sets(config, i, v, v_prev, z, zp, p, struct,
-                                u0=state.u0)
+    rs = restricted_convex_sets(
+        config, i, state.v[i], state.v[i - 1],
+        state.spacing_error(config.gap)[i - 1], state.rel_speed()[i - 1],
+        p, struct, u0=state.u0)
     width = 2 * p if rs.includes_prev else p
-    s_p = np.tril(np.ones((p, p)))
     rows = []
     for j in range(p):
         row = np.zeros(width)
-        row[-p:] = s_p[j]
+        row[-p:] = struct.S_p[j]
         rows.append((np.zeros((width, width)), -row, float(rs.cum_lo[j])))
         rows.append((np.zeros((width, width)), row, -float(rs.cum_hi[j])))
     return rows + [(A, b, float(c)) for A, b, c in rs.quads]
@@ -615,7 +595,7 @@ def _place(rows: list, i: int, first: int, dim: int, p: int) -> list:
 
 def _linear_problem(a: AgentState) -> ConvexQcqp:
     sh = a.shared
-    q = _embed(a.dim, [(a.sl(a.own_pos), sh.model.c_block(a.i))])
+    q = _embed(a.dim, a.sl(a.own_pos), sh.model.c_block(a.i))
     rows = _restricted_rows(sh.config, sh.state, sh.struct, a.i, a.p)
     return ConvexQcqp(sh.dec.W_hat[a.i - 1], q, a.lo, a.hi,
                       _place(rows, a.i, a.span[0], a.dim, a.p))
@@ -677,20 +657,35 @@ def scp_step(agents: list[AgentState],
     steps instead of crawling along the lightly weighted horizon steps."""
     options = options or SolverConfig()
     st = _splitting(agents)
-    for a, sl in zip(agents, st.layout.slices):
+    lay = st.layout
+    sh = agents[0].shared
+    config, struct, p = sh.config, sh.struct, agents[0].p
+    # every agent's rows read its own block and its copy of its
+    # predecessor's, both from its local vector
+    rows, (h, g_own, g_prev) = _platoon_rows(
+        config, sh.state, st.u_hat[lay.own].reshape(lay.shape),
+        np.append(st.u_hat, sh.state.u0)[lay.prev], struct)
+    own_h, prev_h = rows.hessians(config.predecessors, struct)
+
+    def bound(hess):
+        return LIP_FACTOR * np.abs(np.linalg.eigvalsh(hess)).max(axis=-1)
+
+    # per agent: curvature, affine part and constant of the 3p rows, lower
+    # speed, upper speed, safety; the affine parts in stacked coordinates
+    curv = np.concatenate([bound(rows.speed_hessians(struct)),
+                           np.zeros((config.n, p)),
+                           np.maximum(bound(own_h), bound(prev_h))], axis=1)
+    const = np.concatenate([config.speed_min - rows.q,
+                            rows.q - config.speed_max, h], axis=1)
+    B = np.zeros((3 * p, st.u_hat.size + 1))
+    B[:, lay.own.reshape(lay.shape)] = np.concatenate(
+        [-rows.q_grad, rows.q_grad, g_own], axis=1).transpose(1, 0, 2)
+    B[2 * p:, lay.prev] = g_prev.transpose(1, 0, 2)
+    for a, sl, a_curv, a_const in zip(agents, lay.slices, curv, const):
         if a.frozen:
             a.problem = None
             continue
-        sh = a.shared
-        p, dim = a.p, a.dim
-        own_sl = a.sl(a.own_pos)
-        par = sh.config.vehicles[a.i - 1]
-        prev = _prev_of(sh.config, a.i)
-        v, v_prev, z, zp = _tracking(sh.config, sh.state, a.i)
         u_loc = st.u_hat[sl]
-        u_own = u_loc[own_sl]
-        u_prev = _prev_controls(a, u_loc)
-
         u_by_block = [u_loc[a.sl(b)] for b in range(len(a.blocks))]
         _, grads = local_objective(sh.objectives[a.i - 1], u_by_block)
         hj = local_objective_hessian(sh.objectives[a.i - 1], u_by_block)
@@ -700,43 +695,12 @@ def scp_step(agents: list[AgentState],
             vals, vecs = np.linalg.eigh(hj)
             model = (vecs * np.maximum(vals, 0.0)) @ vecs.T
         else:
-            model = a.L_J * np.eye(dim)
-
-        own_h, prev_h = safety_constraint_hessians(
-            sh.config, par, prev, v, u_own, sh.struct)
-        s_p = np.tril(np.ones((p, p)))
-        speed_lo = [0.0]
-        d2 = np.zeros((p, p))
-        for j in range(1, p):
-            d2 = d2 + 2.0 * sh.config.tau ** 3 * par.drag * np.outer(
-                s_p[j - 1], s_p[j - 1])
-            speed_lo.append(LIP_FACTOR * float(
-                np.max(np.abs(np.linalg.eigvalsh(d2)))))
-        safety = [LIP_FACTOR * float(max(
-            np.max(np.abs(np.linalg.eigvalsh(own_h[j]))),
-            np.max(np.abs(np.linalg.eigvalsh(prev_h[j])))))
-            for j in range(p)]
-
-        q, q_grad = speed_constraint_fn(sh.config, par, v, u_own)
-        h, g_own, g_prev = safety_constraint_fn(
-            sh.config, par, prev, v, v_prev, z, zp, u_own, u_prev, sh.struct)
-        quads = []
-        for j in range(p):
-            b = _embed(dim, [(own_sl, -q_grad[j])])
-            quads.append((speed_lo[j] * np.eye(dim), b,
-                          float(sh.config.speed_min - q[j])))
-        for j in range(p):
-            b = _embed(dim, [(own_sl, q_grad[j])])
-            quads.append((np.zeros((dim, dim)), b,
-                          float(q[j] - sh.config.speed_max)))
-        for j in range(p):
-            parts = [(own_sl, g_own[j])]
-            if a.i > 1:
-                parts.append((a.sl(a.own_pos - 1), g_prev[j]))
-            b = _embed(dim, parts)
-            quads.append((safety[j] * np.eye(dim), b, float(h[j])))
+            model = a.L_J * np.eye(a.dim)
+        eye = np.eye(a.dim)
         a.problem = ConvexQcqp(model, a.grad_J.copy(),
-                               a.lo - u_loc, a.hi - u_loc, quads)
+                               a.lo - u_loc, a.hi - u_loc,
+                               [(k * eye, b, c) for k, b, c in
+                                zip(a_curv, B[:, sl], a_const)])
 
 
 def warm_start_inner(agents: list[AgentState],
@@ -790,18 +754,22 @@ class MpcResult:
     diagnostics: MpcDiagnostics
 
 
-def _p1_problem(a: AgentState) -> ConvexQcqp:
-    """The one-step horizon is exactly quadratic: build the agent's QCQP
-    with drag charged at the measured speeds."""
-    sh = a.shared
+def _p1_problems(agents: list[AgentState]) -> None:
+    """The one-step horizon is exactly quadratic: build every agent's
+    QCQP with drag charged at the measured speeds, on one evaluation of
+    the platoon's rows."""
+    sh = agents[0].shared
     tau = sh.config.tau
-    e = _losses(sh.config, sh.state, a.blocks)
-    w_hat = sh.dec.W_hat[a.i - 1]
-    m_hat = w_hat - tau * tau * sh.dec.Psi_hat[a.i - 1]
-    q = _embed(a.dim, [(a.sl(a.own_pos), sh.model.c_block(a.i))]) - m_hat @ e
-    rows = _one_step_rows(sh.config, sh.state, sh.struct, a.i)
-    return ConvexQcqp(w_hat, q, a.lo, a.hi,
-                      _place(rows, a.i, a.span[0], a.dim, 1))
+    e = _losses(sh.config, sh.state)
+    rows = _one_step_rows(sh.config, sh.state, sh.struct)
+    for a in agents:
+        w_hat = sh.dec.W_hat[a.i - 1]
+        m_hat = w_hat - tau * tau * sh.dec.Psi_hat[a.i - 1]
+        q = (_embed(a.dim, a.sl(a.own_pos), sh.model.c_block(a.i))
+             - m_hat @ e[a.span[0] - 1:a.span[1]])
+        a.problem = ConvexQcqp(w_hat, q, a.lo, a.hi,
+                               _place(rows[a.i - 1], a.i, a.span[0], a.dim,
+                                      1))
 
 
 def _outer_converged(p: int, step: float, scale: float, tol: float) -> bool:
@@ -836,8 +804,7 @@ def solve_mpc(agents: list[AgentState],
         a.prox_calls = 0
 
     if p == 1:
-        for a in agents:
-            a.problem = _p1_problem(a)
+        _p1_problems(agents)
         _begin_stage(agents, None, seed="carry")
         tol = options.outer_tol_for(1)
         resid = np.inf
@@ -942,10 +909,10 @@ def solve_centralized_p1(config: PlatoonConfig, weights: WeightSchedule,
     model = assemble_quadratic_model(config, weights, state=state)
     n = config.n
     struct = build_structural(n, 1)
-    e = _losses(config, state, range(1, n + 1))
-    quads = []
-    for i in range(1, n + 1):
-        quads += _place(_one_step_rows(config, state, struct, i), i, 1, n, 1)
+    e = _losses(config, state)
+    quads = [row for i, rows in enumerate(
+        _one_step_rows(config, state, struct), start=1)
+        for row in _place(rows, i, 1, n, 1)]
     prob = ConvexQcqp(model.W, model.c - model.V @ e,
                       config.accel_min.astype(float),
                       config.accel_max.astype(float), quads)

@@ -173,6 +173,112 @@ def kkt_newton_loop(prob, y, idx, lam_a):
     return yv, lam_a, bool(np.max(np.abs(res)) < 1e-9 * scale)
 
 
+def plan_violation_by_vehicle(config, state, u_plan, struct):
+    """Worst violation of the boxes, speed band and safety rows of the
+    horizon model at a full (n, p) plan, by a loop over the vehicles that
+    calls the row functions once per vehicle; 0.0 when every row holds."""
+    from platoon_mpc.assembly import (safety_constraint_fn,
+                                      speed_constraint_fn)
+
+    n, p = u_plan.shape
+    z = state.spacing_error(config.gap)
+    zp = state.rel_speed()
+    worst = 0.0
+    for i in range(1, n + 1):
+        par = config.vehicles[i - 1]
+        u = u_plan[i - 1]
+        worst = max(worst, float(np.max(par.accel_min - u)),
+                    float(np.max(u - par.accel_max)))
+        q, _ = speed_constraint_fn(config, par, float(state.v[i]), u)
+        worst = max(worst, float(np.max(config.speed_min - q)),
+                    float(np.max(q - config.speed_max)))
+        prev = config.leader if i == 1 else config.vehicles[i - 2]
+        u_prev = np.full(p, state.u0) if i == 1 else u_plan[i - 2]
+        h, _, _ = safety_constraint_fn(
+            config, par, prev, float(state.v[i]), float(state.v[i - 1]),
+            float(z[i - 1]), float(zp[i - 1]), u, u_prev, struct)
+        worst = max(worst, float(np.max(h)))
+    return worst
+
+
+def _agent_row(a, own, prev=None, curv=0.0, const=0.0):
+    """One row (A, b, c) of agent a in its local coordinates: the p-vector
+    own on its own block, prev on its copy of the predecessor's block
+    (ignored for the first agent), and curvature A = curv * I."""
+    b = np.zeros(a.dim)
+    b[a.sl(a.own_pos)] = own
+    if a.i > 1 and prev is not None:
+        b[a.sl(a.own_pos - 1)] = prev
+    return curv * np.eye(a.dim), b, float(const)
+
+
+def _vehicle_data(a):
+    sh = a.shared
+    cfg, st, i = sh.config, sh.state, a.i
+    prev = cfg.leader if i == 1 else cfg.vehicles[i - 2]
+    return (cfg, st, cfg.vehicles[i - 1], prev, float(st.v[i]),
+            float(st.v[i - 1]), float(st.spacing_error(cfg.gap)[i - 1]),
+            float(st.rel_speed()[i - 1]))
+
+
+def p1_rows_by_agent(a):
+    """Agent a's rows at the one-step horizon (speed band, then safety),
+    rebuilt with one call of the row functions for its vehicle alone."""
+    from platoon_mpc.assembly import (safety_constraint_fn,
+                                      safety_constraint_hessians)
+
+    cfg, st, par, prev, v, v_prev, z, zp = _vehicle_data(a)
+    tau = cfg.tau
+    e = par.drag * v * v + par.roll * GRAVITY
+    u_prev = np.array([st.u0 if a.i == 1 else 0.0])
+    h, g_own, g_prev = safety_constraint_fn(cfg, par, prev, v, v_prev, z, zp,
+                                            np.zeros(1), u_prev,
+                                            a.shared.struct)
+    own_h, _ = safety_constraint_hessians(cfg, par, prev, v, np.zeros(1),
+                                          a.shared.struct)
+    safety = _agent_row(a, g_own[0], g_prev[0], const=h[0])
+    safety[0][a.own_pos, a.own_pos] = own_h[0, 0, 0]
+    return [_agent_row(a, -tau, const=cfg.speed_min - v + tau * e),
+            _agent_row(a, tau, const=v - tau * e - cfg.speed_max), safety]
+
+
+def scp_rows_by_agent(a, u_loc, lip_factor):
+    """Agent a's majorant rows of one linearization (lower speed, upper
+    speed, safety) at its local vector u_loc, rebuilt with one call of the
+    row functions for its vehicle alone: the own block of u_loc and its
+    copy of the predecessor's (the leader's constant control for the
+    first agent)."""
+    from platoon_mpc.assembly import (safety_constraint_fn,
+                                      safety_constraint_hessians,
+                                      speed_constraint_fn)
+
+    cfg, st, par, prev, v, v_prev, z, zp = _vehicle_data(a)
+    p, tau, struct = a.p, cfg.tau, a.shared.struct
+    u_own = u_loc[a.sl(a.own_pos)]
+    u_prev = (np.full(p, st.u0) if a.i == 1
+              else u_loc[a.sl(a.own_pos - 1)])
+    q, q_grad = speed_constraint_fn(cfg, par, v, u_own)
+    h, g_own, g_prev = safety_constraint_fn(cfg, par, prev, v, v_prev, z, zp,
+                                            u_own, u_prev, struct)
+    own_h, prev_h = safety_constraint_hessians(cfg, par, prev, v, u_own,
+                                               struct)
+    lower, d2 = [], np.zeros((p, p))
+    for j in range(p):
+        if j:
+            row = np.tril(np.ones((p, p)))[j - 1]
+            d2 = d2 + 2.0 * tau ** 3 * par.drag * np.outer(row, row)
+        lower.append(_agent_row(
+            a, -q_grad[j], curv=lip_factor * np.max(np.abs(
+                np.linalg.eigvalsh(d2))), const=cfg.speed_min - q[j]))
+    upper = [_agent_row(a, q_grad[j], const=q[j] - cfg.speed_max)
+             for j in range(p)]
+    safety = [_agent_row(a, g_own[j], g_prev[j], lip_factor * max(
+        np.max(np.abs(np.linalg.eigvalsh(own_h[j]))),
+        np.max(np.abs(np.linalg.eigvalsh(prev_h[j])))), h[j])
+        for j in range(p)]
+    return lower + upper + safety
+
+
 def w_star_reference(config, weights, z, zp, v0, u0):
     """One-stage optimum of the unconstrained cost in relative-control
     coordinates, from the closed-form normal equations."""

@@ -518,3 +518,47 @@ def test_restricted_sets_leader_term(small, rng):
     h, _, _ = safety_constraint_fn(small, par, small.leader, 24.0, 25.0,
                                    0.0, 1.0, u_own, np.full(p, u0), struct)
     assert np.all(tilde >= h - 1e-9)
+
+
+@pytest.mark.parametrize("name, p", [("small", 1), ("medium", 3),
+                                     ("large", 5)])
+def test_row_functions_broadcast_over_vehicles(name, p, rng):
+    # one call on the stacked platoon equals the per-vehicle calls stacked
+    cfg = platoon_preset(name)
+    struct = build_structural(cfg.n, p)
+    st = random_feasible_state(cfg, rng)
+    u = rng.uniform(-2.0, 1.0, (cfg.n, p))
+    u_prev = rng.uniform(-2.0, 1.0, (cfg.n, p))
+    z, zp = st.spacing_error(cfg.gap), st.rel_speed()
+    v, v_prev = st.v[1:], st.v[:-1]
+    own, prev = cfg.followers, cfg.predecessors
+    preds = [cfg.leader] + cfg.vehicles[:-1]
+    calls = [
+        (lambda: pseudo_speeds(cfg.tau, v, u),
+         lambda i: pseudo_speeds(cfg.tau, v[i], u[i])),
+        (lambda: approx_accel(own, cfg.tau, v, u),
+         lambda i: approx_accel(cfg.vehicles[i], cfg.tau, v[i], u[i])),
+        (lambda: approx_accel_jacobian(own, cfg.tau, v, u),
+         lambda i: approx_accel_jacobian(cfg.vehicles[i], cfg.tau, v[i],
+                                         u[i])),
+        (lambda: speed_constraint_fn(cfg, own, v, u),
+         lambda i: speed_constraint_fn(cfg, cfg.vehicles[i], v[i], u[i])),
+        (lambda: safety_constraint_fn(cfg, own, prev, v, v_prev, z, zp, u,
+                                      u_prev, struct),
+         lambda i: safety_constraint_fn(cfg, cfg.vehicles[i], preds[i], v[i],
+                                        v_prev[i], z[i], zp[i], u[i],
+                                        u_prev[i], struct)),
+        (lambda: safety_constraint_hessians(cfg, own, prev, v, u, struct),
+         lambda i: safety_constraint_hessians(cfg, cfg.vehicles[i],
+                                              preds[i], v[i], u[i], struct)),
+    ]
+    for batched, single in calls:
+        got = batched()
+        want = [single(i) for i in range(cfg.n)]
+        if not isinstance(got, tuple):
+            got, want = (got,), [(w,) for w in want]
+        for k, part in enumerate(got):
+            ref = np.stack([w[k] for w in want])
+            assert part.shape == ref.shape
+            assert np.max(np.abs(part - ref)) <= \
+                1e-12 * (1.0 + np.max(np.abs(ref)))

@@ -527,3 +527,27 @@ def test_affine_kkt_solve_matches_the_newton_loop():
         assert _finish_active(prob, y, idx, lam) is not None
     assert searched >= 150
     assert solved >= 0.95 * searched
+
+
+def test_curved_newton_stop_meets_the_kkt_check():
+    # problems 36, 707, 960, 1423 and 1995 of mixed_prox_problem at seed
+    # 5: Newton on the optimum's active set, which holds a curved row, used
+    # to stop at a residual of 1e-12 * (1 + max|q|) with |q| in the
+    # thousands, and _finish_active then rejected the correct set at a KKT
+    # residual of 1.0e-9 to 1.7e-9
+    rng = np.random.default_rng(5)
+    cases = []
+    for k in range(1996):
+        prob = mixed_prox_problem(rng, int(rng.integers(2, 7)))
+        if k in (36, 707, 960, 1423, 1995):
+            cases.append(prob)
+    for prob in cases:
+        free = np.linalg.solve(prob.H, -prob.q)
+        idx = np.flatnonzero(qcqp_solve(prob).lam > 1e-9)
+        assert prob.is_curved[idx].any()
+        assert np.max(np.abs(prob.q)) > 1e3
+        y, lam, ok = _kkt_newton(prob, free, idx, np.zeros(idx.size))
+        assert ok
+        done = _finish_active(prob, y, idx, lam)
+        assert done is not None
+        assert kkt_residual(prob, *done) <= 1e-9
