@@ -6,9 +6,14 @@ and relative-speed recursions are linear in the effective accelerations,
 so the tracking cost is an explicit quadratic in the stacked accelerations
 with state-independent curvature.  This module builds that quadratic, its
 per-vehicle decomposition, and the horizon constraint rows used by the
-solver.  One row model (HorizonRows, and the row functions built on it)
-serves one vehicle or, given stacked parameters (platoon.stack_params),
-the whole platoon along a leading axis in a single call.
+solver.  The decomposition is exact and PSD for every WeightSchedule: the
+curvature is W = sum_i d_i^T Q_i d_i, where d_i picks vehicle i's
+accelerations relative to its predecessor's and each Q_i is PSD (qz,
+qzp >= 0, qw > 0), so agent i's share, half of each term that reads its
+vehicle, is PSD; Psi has the same form with qw alone.  One row model
+(HorizonRows, and the row functions built on it) serves one vehicle or,
+given stacked parameters (platoon.stack_params), the whole platoon along
+a leading axis in a single call.
 """
 
 from __future__ import annotations
@@ -204,7 +209,10 @@ def assemble_quadratic_model(config: PlatoonConfig, weights: WeightSchedule,
 class DecomposedModel:
     """Per-vehicle splitting of W and Psi.  Agent i's block covers vehicles
     span[i] (1-based, inclusive); blocks overlap on shared vehicles and sum
-    back to the full matrices exactly."""
+    back to the full matrices.  Each matrix is sum_i d_i^T Q_i d_i with
+    d_i vehicle i's relative accelerations and Q_i PSD, and agent i holds
+    half of terms i and i + 1 (agent 1 all of term 1), so every block is
+    PSD (see _rank_split)."""
 
     n: int
     p: int
@@ -219,123 +227,38 @@ def _block(mat: np.ndarray, p: int, i: int, j: int) -> np.ndarray:
 
 
 def _spans(n: int) -> list[tuple[int, int]]:
-    spans = []
-    for i in range(1, n + 1):
-        lo = max(1, i - 1) if i > 1 else 1
-        hi = min(n, i + 1)
-        spans.append((lo, hi))
-    return spans
+    return [(max(1, i - 1), min(n, i + 1)) for i in range(1, n + 1)]
 
 
-def _proportional_split(mat: np.ndarray, n: int, p: int) -> list[np.ndarray]:
-    """Fixed-share split: adjacent-coupling blocks are halved between the two
-    agents that see them, diagonal blocks are shared 1/4-1/2-1/4 with the
-    ends absorbing the missing quarter."""
+def _rank_split(mat: np.ndarray, n: int, p: int) -> list[np.ndarray]:
+    """Split mat = sum_i d_i^T Q_i d_i along its terms.  d_i picks vehicle
+    i's relative accelerations (d_1 = e_1, d_i = e_i - e_{i-1}), so the
+    coupling block (i-1, i) is -Q_i and Q_1 = mat_11 - Q_2.  Agent i takes
+    half of each term [[Q_j, -Q_j], [-Q_j, Q_j]] on vehicles (j-1, j) that
+    reads its vehicle, and agent 1 all of Q_1; each share is PSD because
+    every Q_i is."""
+    q = [None, None] + [-_block(mat, p, j - 1, j) for j in range(2, n + 1)]
+    q[1] = _block(mat, p, 1, 1) - (q[2] if n > 1 else 0.0)
     out = []
     for i, (lo, hi) in enumerate(_spans(n), start=1):
-        size = (hi - lo + 1) * p
-        blk = np.zeros((size, size))
-
-        def put(a, b, share):
-            ra = (a - lo) * p
-            rb = (b - lo) * p
-            blk[ra:ra + p, rb:rb + p] += share * _block(mat, p, a, b)
-
-        for a in range(lo, hi + 1):
-            if a == i:
-                share = 0.5
-                if i == 1:
-                    share += 0.25
-                if i == n:
-                    share += 0.25
-            else:
-                share = 0.25
-            put(a, a, share)
-        for a in range(lo, hi):
-            # coupling (a, a+1) belongs to agents a and a+1 only
-            if i in (a, a + 1):
-                put(a, a + 1, 0.5)
-                put(a + 1, a, 0.5)
-        out.append(blk)
-    return out
-
-
-def _natural_split(mat: np.ndarray, n: int, p: int) -> list[np.ndarray]:
-    """Split along the rank-structured terms of the curvature.  The coupling
-    block (i-1, i) is -Xi_i with Xi_i PSD, and each elementary term
-    [[Xi, -Xi], [-Xi, Xi]] is halved between its two agents, which keeps
-    every fragment PSD."""
-    xi = [None] * (n + 2)  # 1-based, xi[n+1] stays zero
-    for i in range(2, n + 1):
-        xi[i] = -_block(mat, p, i - 1, i)
-    xi[1] = _block(mat, p, 1, 1) - (xi[2] if n > 1 else 0.0)
-    xi[n + 1] = np.zeros((p, p))
-
-    out = []
-    for i, (lo, hi) in enumerate(_spans(n), start=1):
-        size = (hi - lo + 1) * p
-        blk = np.zeros((size, size))
-
-        def put(a, b, piece):
-            ra = (a - lo) * p
-            rb = (b - lo) * p
-            blk[ra:ra + p, rb:rb + p] += piece
-
-        def elementary(j, share):
-            # term j couples vehicles (j-1, j); j == 1 sits on vehicle 1 alone
-            if j == 1:
-                put(1, 1, share * xi[1])
-            else:
-                put(j - 1, j - 1, share * xi[j])
-                put(j - 1, j, -share * xi[j])
-                put(j, j - 1, -share * xi[j])
-                put(j, j, share * xi[j])
-
+        m = hi - lo + 1
+        blk = np.zeros((m, p, m, p))
         if i == 1:
-            elementary(1, 1.0)
-            if n > 1:
-                elementary(2, 0.5)
-        else:
-            elementary(i, 0.5)
-            if i < n:
-                elementary(i + 1, 0.5)
-        out.append(blk)
+            blk[0, :, 0, :] += q[1]
+        for j in range(max(i, 2), min(i + 1, n) + 1):
+            a, b, half = j - 1 - lo, j - lo, 0.5 * q[j]
+            blk[a, :, a, :] += half
+            blk[a, :, b, :] -= half
+            blk[b, :, a, :] -= half
+            blk[b, :, b, :] += half
+        out.append(blk.reshape(m * p, m * p))
     return out
-
-
-def _min_eig(blocks: list[np.ndarray]) -> float:
-    return min(float(np.linalg.eigvalsh(_sym(b))[0]) for b in blocks)
-
-
-def _psd_split(mat: np.ndarray, n: int, p: int,
-               floor: float = -1e-11) -> list[np.ndarray]:
-    """Proportional split when it is already PSD; otherwise bisect toward
-    the natural split until every block passes the eigenvalue floor."""
-    prop = _proportional_split(mat, n, p)
-    if _min_eig(prop) >= floor:
-        return prop
-    nat = _natural_split(mat, n, p)
-
-    def mix(t):
-        return [(1.0 - t) * a + t * b for a, b in zip(prop, nat)]
-
-    lo_t, hi_t = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo_t + hi_t)
-        if _min_eig(mix(mid)) >= floor:
-            hi_t = mid
-        else:
-            lo_t = mid
-    blocks = mix(hi_t)
-    if _min_eig(blocks) < floor:
-        return nat
-    return blocks
 
 
 def decompose_model(model: QuadraticModel) -> DecomposedModel:
     n, p = model.n, model.p
-    return DecomposedModel(n, p, _spans(n), _psd_split(model.W, n, p),
-                           _psd_split(model.Psi, n, p))
+    return DecomposedModel(n, p, _spans(n), _rank_split(model.W, n, p),
+                           _rank_split(model.Psi, n, p))
 
 
 def decomposition_residual(model: QuadraticModel,

@@ -13,14 +13,13 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .loop import (SimRecord, brake_scenario, cruise_scenario, initial_state,
+from .loop import (SimRecord, brake_scenario, cruise_scenario,
                    oscillation_scenario, simulate, steady_state_error,
                    synthetic_leader, trace_scenario, wave_scenario,
                    write_leader_trace, write_trajectory_csv)
-from .platoon import PlatoonConfig, load_config, nonlinear_step
+from .platoon import PlatoonConfig, PlatoonState, load_config
 from .presets import PLATOON_NAMES, platoon_preset, weight_preset
-from .solver import (SolverConfig, formulate_local, solve_centralized_p1,
-                     solve_mpc)
+from .solver import SolverConfig, solve_centralized_p1
 
 SCENARIOS = ("1", "2", "3", "cruise")
 
@@ -78,27 +77,21 @@ def _quartiles(values):
     return float(q[0]), float(statistics.median(values)), float(q[2])
 
 
-def compare_centralized(config: PlatoonConfig, weights, scenario,
-                        options: SolverConfig) -> dict:
-    """Run the distributed loop and a high precision whole-platoon solve
-    side by side; relative error is recorded per step whenever the
-    reference control is nonzero."""
-    if weights.p != 1:
-        raise click.ClickException(
-            "the centralized reference covers horizon 1 only")
-    state = initial_state(config, scenario.v_start)
-    agents = formulate_local(config, weights, state)
+def compare_centralized(config: PlatoonConfig, weights,
+                        record: SimRecord) -> dict:
+    """Solve every state of a horizon-1 run as one high precision
+    whole-platoon program and record the relative error of the run's
+    control per step whenever the reference control is nonzero.  Only the
+    spacings, the speeds and the leader control enter the problem."""
     errors = []
-    for k in range(scenario.steps):
-        state.u0 = float(scenario.u0[k])
-        res = solve_mpc(agents, options, state=state)
-        u = res.u_plan[:, 0]
+    for k in range(record.steps):
+        x = np.concatenate(([0.0], -np.cumsum(record.spacings[k])))
+        state = PlatoonState(x, record.speeds[k], float(record.leader_u[k]))
         ref = solve_centralized_p1(config, weights, state)
         scale = float(np.linalg.norm(ref))
         if scale > 1e-9:
-            errors.append(float(np.linalg.norm(u - ref)) / scale)
-        u0_next = float(scenario.u0[k + 1]) if k + 1 < scenario.steps else 0.0
-        state = nonlinear_step(config, state, u, u0_next)
+            errors.append(
+                float(np.linalg.norm(record.controls[k] - ref)) / scale)
     return {
         "steps_compared": len(errors),
         "mean_relative_error": float(np.mean(errors)) if errors else 0.0,
@@ -184,6 +177,9 @@ def write_plot_script(path: Path, record: SimRecord) -> None:
 
 def run_spec(spec: RunSpec) -> dict:
     config, weights = load_platoon(spec.platoon, spec.horizon)
+    if spec.centralized and weights.p != 1:
+        raise click.ClickException(
+            "the centralized reference covers horizon 1 only")
     scenario = build_scenario(spec)
     options = spec.solver_config()
     record = simulate(config, weights, scenario, options=options)
@@ -191,8 +187,8 @@ def run_spec(spec: RunSpec) -> dict:
     if scenario.name == "trace":
         summary["clipped_leader_steps"] = scenario.clipped_steps
     if spec.centralized:
-        summary["centralized"] = compare_centralized(
-            config, weights, build_scenario(spec), options)
+        summary["centralized"] = compare_centralized(config, weights,
+                                                     record)
     if spec.out:
         write_artifacts(Path(spec.out), record, summary)
     return summary

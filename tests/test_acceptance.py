@@ -105,13 +105,13 @@ def test_criterion_03_schur_stability():
     assert ok
 
 
-def test_criterion_04_distributed_vs_centralized():
+def test_criterion_04_distributed_vs_centralized(brake_runs):
     details = []
     ok = True
     for name in PLATOON_NAMES:
         cfg = platoon_preset(name)
         stats = compare_centralized(cfg, weight_preset(name, 1),
-                                    brake_scenario(), SolverConfig())
+                                    brake_runs[name])
         mean = stats["mean_relative_error"]
         ok &= mean <= 5e-3 and stats["steps_compared"] > 100
         details.append(f"{name} mean {mean:.2e} over "

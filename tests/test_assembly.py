@@ -184,17 +184,80 @@ def test_single_stage_optimum_matches_closed_form(name, rng):
 @pytest.mark.parametrize("name,p", [("small", 1), ("small", 3), ("medium", 2),
                                     ("medium", 5), ("large", 4)])
 def test_decomposition_exact_and_psd(name, p):
-    cfg = platoon_preset(name)
-    w = weight_preset(name, p)
-    model = assemble_quadratic_model(cfg, w, z=np.zeros(10),
-                                    z_prime=np.zeros(10), u0=0.0)
-    dec = decompose_model(model)
-    assert decomposition_residual(model, dec) <= 1e-10
-    for blk in dec.W_hat + dec.Psi_hat:
-        assert np.linalg.eigvalsh(0.5 * (blk + blk.T))[0] >= -1e-10
-    assert dec.spans[0] == (1, 2)
+    for n in (2, 10):
+        cfg = platoon_preset(name, n=n)
+        w = weight_preset(name, p, n=n)
+        model = assemble_quadratic_model(cfg, w, z=np.zeros(n),
+                                        z_prime=np.zeros(n), u0=0.0)
+        dec = decompose_model(model)
+        assert decomposition_residual(model, dec) <= 1e-10
+        for blk in dec.W_hat + dec.Psi_hat:
+            assert np.linalg.eigvalsh(0.5 * (blk + blk.T))[0] >= -1e-10
+        assert dec.spans[0] == (1, 2)
+        assert dec.spans[-1] == (n - 1, n)
     assert dec.spans[4] == (4, 6)
-    assert dec.spans[9] == (9, 10)
+
+
+def rank_shares(mat, n, p):
+    """Each agent's share of mat = sum_j d_j^T Q_j d_j, built term by term
+    from Q_j read off the coupling blocks (Q_1 = mat_11 - Q_2): half of
+    every term that reads the agent's vehicle, and all of Q_1 for agent 1.
+    Also returns the Q_j, 1-based."""
+    q = {j: -mat[(j - 2) * p:(j - 1) * p, (j - 1) * p:j * p]
+         for j in range(2, n + 1)}
+    q[1] = mat[:p, :p] - (q[2] if n > 1 else 0.0)
+    shares = []
+    for i in range(1, n + 1):
+        lo, hi = max(1, i - 1), min(n, i + 1)
+        size = (hi - lo + 1) * p
+        share = np.zeros((size, size))
+        terms = [(1, 1.0), (2, 0.5)] if i == 1 else [(i, 0.5), (i + 1, 0.5)]
+        for j, weight in terms:
+            if j > n:
+                continue
+            # d_j on the agent's vehicles: +I at j, -I at j - 1
+            d = np.zeros((p, size))
+            d[:, (j - lo) * p:(j - lo + 1) * p] = np.eye(p)
+            if j > 1:
+                d[:, (j - 1 - lo) * p:(j - lo) * p] = -np.eye(p)
+            share += weight * d.T @ q[j] @ d
+        shares.append(share)
+    return shares, q
+
+
+def equal_schedule(p, n):
+    return WeightSchedule(qz=np.full((p, n), 40.0), qzp=np.full((p, n), 140.0),
+                          qw=np.full((p, n), 90.0))
+
+
+@pytest.mark.parametrize("name", PLATOON_NAMES + ("equal",))
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_decomposition_is_the_rank_split(name, p):
+    # W = sum_j d_j^T Q_j d_j with every Q_j PSD; agent i holds half of
+    # terms i and i + 1 (agent 1 all of term 1), for every platoon size
+    for n in range(1, 11):
+        cfg = platoon_preset("small" if name == "equal" else name, n=n)
+        w = equal_schedule(p, n) if name == "equal" else \
+            weight_preset(name, p, n=n)
+        model = assemble_quadratic_model(cfg, w, z=np.zeros(n),
+                                        z_prime=np.zeros(n), u0=0.0)
+        dec = decompose_model(model)
+        assert dec.spans == [(max(1, i - 1), min(n, i + 1))
+                             for i in range(1, n + 1)]
+        for full, blocks in ((model.W, dec.W_hat), (model.Psi, dec.Psi_hat)):
+            tol = 1e-12 * np.max(np.abs(full))
+            shares, q = rank_shares(full, n, p)
+            assert len(blocks) == n
+            for blk, share in zip(blocks, shares):
+                assert np.max(np.abs(blk - share)) <= tol
+            for j in range(1, n + 1):
+                # the identity the split rests on: each Q_j is PSD and the
+                # diagonal blocks are Q_j + Q_(j+1)
+                qj = q[j]
+                assert np.linalg.eigvalsh(0.5 * (qj + qj.T))[0] >= -tol
+                diag = full[(j - 1) * p:j * p, (j - 1) * p:j * p]
+                assert np.max(np.abs(
+                    diag - qj - (q[j + 1] if j < n else 0.0))) <= tol
 
 
 def test_decomposition_random_schedules(rng):
