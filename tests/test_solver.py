@@ -448,9 +448,24 @@ BRAKE_V = [19.0, 19.76703039407318, 19.74269401067818, 19.73450363167421,
            19.70402428700597]
 
 
-def test_reported_violation_is_the_returned_plans(large):
+@pytest.mark.parametrize("p, seed, u0", [(1, 2, -3.0), (3, 5, -1.0)])
+def test_reported_violation_is_the_returned_plans(large, p, seed, u0):
     # the diagnostics report the guard's own measurement of the returned
-    # plan; with feas_tol above its violation the guard accepts the plan
+    # plan; these states end a hair outside a row (9.8e-15, 1.8e-15)
+    # without a guard retry
+    st = random_feasible_state(large, np.random.default_rng(seed))
+    st.u0 = u0
+    agents = formulate_local(large, weight_preset("large", p), st)
+    res = solve_mpc(agents, state=st)
+    viol = plan_violation(large, st, res.u_plan, agents[0].shared.struct)
+    assert res.diagnostics.guard_rounds == 0
+    assert viol > 0.0
+    assert res.diagnostics.violation == viol
+
+
+def test_reported_violation_beyond_rounding(large):
+    # the same report on a plan that sits well outside a row: with
+    # feas_tol above its violation the guard accepts the plan
     # at once, so the plan is the one the rounds ended on, outside a row
     # by far more than rounding
     st = PlatoonState(np.array(BRAKE_X), np.array(BRAKE_V), -6.0)
