@@ -10,16 +10,23 @@ solver.  The decomposition is exact and PSD for every WeightSchedule: the
 curvature is W = sum_i d_i^T Q_i d_i, where d_i picks vehicle i's
 accelerations relative to its predecessor's and each Q_i is PSD (qz,
 qzp >= 0, qw > 0), so agent i's share, half of each term that reads its
-vehicle, is PSD; Psi has the same form with qw alone.  One row model
-(HorizonRows, and the row functions built on it) serves one vehicle or,
-given stacked parameters (platoon.stack_params), the whole platoon along
-a leading axis in a single call.
+vehicle, is PSD; Psi has the same form with qw alone.
+
+Each vehicle's cost share and constraint rows read only its own and its
+predecessor's controls, and three models follow from this, each with one
+entry point:
+- the local cost share: local_objective gives its value, gradients and
+  Hessian in one pass;
+- the restricted (inner convex) rows of the warm start:
+  restricted_convex_sets builds every vehicle's in one broadcast;
+- the horizon rows: HorizonRows serves one vehicle or, given stacked
+  parameters (platoon.stack_params), the whole platoon along a leading
+  axis.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,22 +65,6 @@ class WeightSchedule:
     @property
     def n(self) -> int:
         return self.qz.shape[1]
-
-    def to_dict(self) -> dict:
-        return {"qz": self.qz.tolist(), "qzp": self.qzp.tolist(),
-                "qw": self.qw.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WeightSchedule":
-        return cls(np.array(data["qz"]), np.array(data["qzp"]),
-                   np.array(data["qw"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def loads(cls, text: str) -> "WeightSchedule":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass
@@ -276,7 +267,7 @@ def decomposition_residual(model: QuadraticModel,
 
 
 # ---------------------------------------------------------------------------
-# horizon acceleration maps and constraint functions
+# horizon acceleration maps and constraint rows
 #
 # One row model serves one vehicle or the whole platoon.  Control
 # sequences u_vec are (..., p) arrays; speeds, tracking errors and the
@@ -416,31 +407,6 @@ class HorizonRows:
         return own, prev
 
 
-def speed_constraint_fn(config: PlatoonConfig, params: VehicleParams, v,
-                        u_vec: np.ndarray):
-    """Predicted speeds q_j (j = 1..p) with drag charged at the loss-free
-    speeds, and their Jacobian.  The speed band constraint is
-    speed_min <= q_j <= speed_max."""
-    rows = HorizonRows(config, params, v, u_vec)
-    return rows.q, rows.q_grad
-
-
-def safety_constraint_fn(config: PlatoonConfig, params: VehicleParams,
-                         prev_params: VehicleParams, v, v_prev, z, zp,
-                         u_vec: np.ndarray, u_prev_vec: np.ndarray,
-                         struct: StructuralMatrices):
-    """HorizonRows.safety of the rows at u_vec."""
-    return HorizonRows(config, params, v, u_vec).safety(
-        prev_params, v_prev, z, zp, u_prev_vec, struct)
-
-
-def safety_constraint_hessians(config: PlatoonConfig, params: VehicleParams,
-                               prev_params: VehicleParams, v,
-                               u_vec: np.ndarray, struct: StructuralMatrices):
-    """HorizonRows.hessians of the rows at u_vec."""
-    return HorizonRows(config, params, v, u_vec).hessians(prev_params, struct)
-
-
 # ---------------------------------------------------------------------------
 # local objectives
 
@@ -455,7 +421,6 @@ class LocalObjective:
     tau: float
     M: np.ndarray        # W_hat - tau^2 Psi_hat
     Psi_hat: np.ndarray
-    W_hat: np.ndarray
     c_own: np.ndarray
     params: list[VehicleParams]
     speeds: list[float]
@@ -475,12 +440,10 @@ def build_local_objectives(config: PlatoonConfig, model: QuadraticModel,
     out = []
     for i in range(1, model.n + 1):
         lo, hi = dec.spans[i - 1]
-        w_hat = dec.W_hat[i - 1]
         psi_hat = dec.Psi_hat[i - 1]
         out.append(LocalObjective(
             i=i, span=(lo, hi), p=model.p, tau=model.tau,
-            M=w_hat - model.tau ** 2 * psi_hat,
-            Psi_hat=psi_hat, W_hat=w_hat,
+            M=dec.W_hat[i - 1] - model.tau ** 2 * psi_hat, Psi_hat=psi_hat,
             c_own=model.c_block(i).copy(),
             params=[config.vehicles[j - 1] for j in range(lo, hi + 1)],
             speeds=[float(state.v[j]) for j in range(lo, hi + 1)]))
@@ -488,15 +451,17 @@ def build_local_objectives(config: PlatoonConfig, model: QuadraticModel,
 
 
 def local_objective(lo: LocalObjective, u_by_block: list[np.ndarray]):
-    """Value and per-block gradients of one vehicle's cost share under the
-    loss-free-speed acceleration approximation."""
+    """Value, per-block gradients and exact Hessian of one vehicle's cost
+    share under the loss-free-speed acceleration approximation, from one
+    evaluation of each block's pseudo speeds."""
     p, tau = lo.p, lo.tau
     nblk = len(u_by_block)
-    a = np.concatenate([
-        approx_accel(par, tau, v, u)
-        for par, v, u in zip(lo.params, lo.speeds, u_by_block)])
+    dim = nblk * p
+    sigs = [pseudo_speeds(tau, v, u) for v, u in zip(lo.speeds, u_by_block)]
+    a = np.concatenate([_accel(par, sig, u) for par, sig, u in
+                        zip(lo.params, sigs, u_by_block)])
     u = np.concatenate(u_by_block)
-    c_full = np.zeros(nblk * p)
+    c_full = np.zeros(dim)
     c_full[lo.own_pos * p:(lo.own_pos + 1) * p] = lo.c_own
 
     ma_c = lo.M @ a + c_full
@@ -506,44 +471,21 @@ def local_objective(lo: LocalObjective, u_by_block: list[np.ndarray]):
 
     psi_u = tau * tau * (lo.Psi_hat @ u)
     grads = []
-    for b in range(nblk):
-        sl = slice(b * p, (b + 1) * p)
-        ja = approx_accel_jacobian(lo.params[b], tau, lo.speeds[b],
-                                   u_by_block[b])
-        grads.append(ja.T @ ma_c[sl] + psi_u[sl])
-    return value, grads
-
-
-def local_objective_hessian(lo: LocalObjective,
-                            u_by_block: list[np.ndarray]) -> np.ndarray:
-    """Exact Hessian of the local objective at the given point."""
-    p, tau = lo.p, lo.tau
-    nblk = len(u_by_block)
-    dim = nblk * p
-    a = np.concatenate([
-        approx_accel(par, tau, v, u)
-        for par, v, u in zip(lo.params, lo.speeds, u_by_block)])
-    c_full = np.zeros(dim)
-    c_full[lo.own_pos * p:(lo.own_pos + 1) * p] = lo.c_own
-    ma_c = lo.M @ a + c_full
-
     ja_full = np.zeros((dim, dim))
-    for b in range(nblk):
+    for b, (par, sig) in enumerate(zip(lo.params, sigs)):
         sl = slice(b * p, (b + 1) * p)
-        ja_full[sl, sl] = approx_accel_jacobian(
-            lo.params[b], tau, lo.speeds[b], u_by_block[b])
+        ja = ja_full[sl, sl] = _accel_jacobian(par, tau, sig)
+        grads.append(ja.T @ ma_c[sl] + psi_u[sl])
     hess = ja_full.T @ lo.M @ ja_full + tau * tau * lo.Psi_hat
     # curvature of the acceleration map itself
     shift = np.tri(p, k=-1)
-    for b in range(nblk):
-        par = lo.params[b]
+    for b, par in enumerate(lo.params):
         if par.drag == 0.0:
             continue
         sl = slice(b * p, (b + 1) * p)
-        y = ma_c[sl]
         hess[sl, sl] += -2.0 * par.drag * tau * tau * (
-            shift.T @ np.diag(y) @ shift)
-    return _sym(hess)
+            shift.T @ np.diag(ma_c[sl]) @ shift)
+    return value, grads, _sym(hess)
 
 
 # ---------------------------------------------------------------------------
@@ -551,20 +493,27 @@ def local_objective_hessian(lo: LocalObjective,
 
 @dataclass
 class RestrictedSets:
-    """Inner convex approximation of the horizon constraints for one
-    vehicle: a corridor on cumulative control sums and convex quadratic
-    safety rows over (u_prev, u_own) (own only for the first vehicle)."""
+    """Inner convex approximation of the horizon constraints of every
+    vehicle, along a leading vehicle axis: a corridor cum_lo <= S_p u_own
+    <= cum_hi on cumulative control sums, (n, p) each, and p convex
+    quadratic safety rows 1/2 y^T A y + b^T y + c <= 0 over the
+    (predecessor, own) sequences y = (u_prev, u_own): A (n, p, 2p, 2p),
+    b (n, p, 2p), c (n, p).  The first vehicle's predecessor is the leader,
+    whose constant control u0 sits in c; its predecessor columns are
+    zero."""
 
     cum_lo: np.ndarray
     cum_hi: np.ndarray
-    quads: list[tuple[np.ndarray, np.ndarray, float]]
-    includes_prev: bool
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
 
 
-def speed_envelopes(config: PlatoonConfig, params: VehicleParams, v: float,
+def speed_envelopes(config: PlatoonConfig, params: VehicleParams, v,
                     p: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-stage lower (grave) and upper (breve) speed envelopes valid for
-    any control sequence that satisfies the speed band."""
+    any control sequence that satisfies the speed band, (..., p) over the
+    leading axes of v and the parameters."""
     tau = config.tau
     c3g = params.roll * GRAVITY
     grave = [v]
@@ -573,67 +522,64 @@ def speed_envelopes(config: PlatoonConfig, params: VehicleParams, v: float,
         grave.append(config.speed_min + j * tau * c3g)
         breve.append(config.speed_max + j * tau * c3g
                      + tau * params.drag * sum(b * b for b in breve))
-    return np.array(grave), np.array(breve)
+    return np.stack(grave, axis=-1), np.stack(breve, axis=-1)
 
 
-def restricted_convex_sets(config: PlatoonConfig, i: int, v: float,
-                           v_prev: float, z: float, zp: float, p: int,
-                           struct: StructuralMatrices,
-                           u0: float = 0.0) -> RestrictedSets:
-    """Build the corridor and convex safety rows for vehicle i (1-based).
-    Any point satisfying them satisfies the true horizon constraints."""
-    tau = config.tau
-    params = config.vehicles[i - 1]
-    prev_params = config.leader if i == 1 else config.vehicles[i - 2]
-    c3g = params.roll * GRAVITY
-    grave, breve = speed_envelopes(config, params, v, p)
-    grave_sq = np.cumsum(grave * grave)
-    breve_sq = np.cumsum(breve * breve)
+def restricted_convex_sets(config: PlatoonConfig, state: PlatoonState,
+                           p: int, struct: StructuralMatrices
+                           ) -> RestrictedSets:
+    """Build the corridor and convex safety rows of every vehicle.  Any
+    point satisfying vehicle i's rows satisfies its true horizon
+    constraints."""
+    tau, n = config.tau, config.n
+    par, prev = config.followers, config.predecessors
+    v, v_prev = state.v[1:], state.v[:-1]
+    z, zp = state.spacing_error(config.gap), state.rel_speed()
+    c3g = par.roll * GRAVITY
+    grave, breve = speed_envelopes(config, par, v, p)
+    grave_sq = np.cumsum(grave * grave, axis=-1)
+    breve_sq = np.cumsum(breve * breve, axis=-1)
     j_idx = np.arange(1, p + 1)
 
-    cum_lo = (config.speed_min + j_idx * tau * c3g
-              + tau * params.drag * breve_sq - v) / tau
-    cum_hi = (config.speed_max + j_idx * tau * c3g
-              + tau * params.drag * grave_sq - v) / tau
+    cum_lo = (config.speed_min + j_idx * tau * _col(c3g)
+              + _col(tau * par.drag) * breve_sq - _col(v)) / tau
+    cum_hi = (config.speed_max + j_idx * tau * _col(c3g)
+              + _col(tau * par.drag) * grave_sq - _col(v)) / tau
 
     kappa = 0.5 * struct.R_p
-    s_p = struct.S_p
-    includes_prev = i > 1
-    dim = 2 * p if includes_prev else p
-    own0 = p if includes_prev else 0
-
-    quads = []
-    for j in range(1, p + 1):
-        A = np.zeros((dim, dim))
-        b = np.zeros(dim)
-        cst = 0.0
-        # own speed expression with drag charged at the lower envelope
-        phi = v + tau * (-j * c3g - params.drag * grave_sq[j - 1])
-        t_row = tau * s_p[j - 1, :]
-        cst += params.length + params.headway * phi
-        b[own0:own0 + p] += params.headway * t_row
-        # braking-distance square, convex because accel_min < 0
-        m0 = phi - config.speed_min
-        A[own0:own0 + p, own0:own0 + p] += (-1.0 / params.accel_min) * \
-            np.outer(t_row, t_row)
-        b[own0:own0 + p] += (-1.0 / params.accel_min) * m0 * t_row
-        cst += (-1.0 / (2.0 * params.accel_min)) * m0 * m0
-        # predicted-gap bracket, subtracted as a whole
-        cst -= z + config.gap + j * tau * zp
-        for s in range(j):
-            k_js = tau * tau * kappa[j - 1, s]
-            b[own0 + s] += k_js
-            cst += k_js * (prev_params.roll - params.roll) * GRAVITY
-            # own drag charged at the lower speed envelope
-            cst -= k_js * params.drag * grave[s] * grave[s]
-            if includes_prev:
-                b[s] -= k_js
-                # predecessor drag stays exact in its loss-free speeds
-                row = tau * (s_p[s - 1, :] if s >= 1 else np.zeros(p))
-                A[:p, :p] += 2.0 * k_js * prev_params.drag * np.outer(row, row)
-                b[:p] += 2.0 * k_js * prev_params.drag * v_prev * row
-                cst += k_js * prev_params.drag * v_prev * v_prev
-            else:
-                cst -= k_js * u0
-        quads.append((_sym(A), b, cst))
-    return RestrictedSets(cum_lo, cum_hi, quads, includes_prev)
+    # stage j (row j - 1) is built on t_row = tau * S_p[j - 1]
+    t_row = tau * struct.S_p
+    A = np.zeros((n, p, 2 * p, 2 * p))
+    b = np.zeros((n, p, 2 * p))
+    # own speed expression with drag charged at the lower envelope
+    phi = _col(v) + tau * (-j_idx * _col(c3g) - _col(par.drag) * grave_sq)
+    c = _col(par.length) + _col(par.headway) * phi
+    b[..., p:] = _col(par.headway, 2) * t_row
+    # braking-distance square, convex because accel_min < 0
+    m0 = phi - config.speed_min
+    A[..., p:, p:] = _col(-1.0 / par.accel_min, 3) * (
+        t_row[:, :, None] * t_row[:, None, :])
+    b[..., p:] += (_col(-1.0 / par.accel_min) * m0)[..., None] * t_row
+    c += _col(-1.0 / (2.0 * par.accel_min)) * m0 * m0
+    # predicted-gap bracket, subtracted as a whole
+    c -= _col(z) + config.gap + j_idx * tau * _col(zp)
+    # the own and predecessor accelerations of step s enter every stage
+    # j > s with weight k = tau^2 kappa[j - 1, s], which is 0 for s >= j;
+    # the first vehicle's predecessor is the leader at constant control u0
+    d_roll = _col(prev.roll - par.roll)
+    pd, vp = _col(prev.drag[1:]), _col(v_prev[1:])
+    for s in range(p):
+        k = tau * tau * kappa[:, s]
+        b[..., p + s] += k
+        c += k * d_roll * GRAVITY
+        # own drag charged at the lower speed envelope
+        c -= k * _col(par.drag) * grave[:, s, None] * grave[:, s, None]
+        # predecessor drag stays exact in its loss-free speeds
+        row = tau * struct.S_p_shift[s]
+        b[1:, :, s] -= k
+        A[1:, :, :p, :p] += _col(2.0 * k * pd, 2) * np.outer(row, row)
+        b[1:, :, :p] += _col(2.0 * k * pd * vp) * row
+        c[1:] += k * pd * vp * vp
+        c[0] -= k * state.u0
+    return RestrictedSets(cum_lo, cum_hi, 0.5 * (A + A.swapaxes(-1, -2)), b,
+                          c)

@@ -15,11 +15,13 @@ re-solved until the iterates settle; the first iterate comes from the
 loss-free cost minimized over inner convex restrictions of the true
 constraint sets, so every later iterate inherits feasibility.  When the
 caller sets a tolerance, the longer horizons run the convergent variant
-of this scheme (see SolverConfig.convergent).  The speed and safety rows come from the row
-model of the assembly module, evaluated once per call for the whole
-platoon: in plan_violation, for the one-step problems of a step and for
-each linearization, where every agent's rows read its own block and its
-own copy of its predecessor's.
+of this scheme (see SolverConfig.convergent).  The speed and safety
+rows come from the row model of the assembly module, evaluated once per
+call for the whole platoon: in plan_violation, for the one-step problems
+of a step and for each linearization, where every agent's rows read its
+own block and its own copy of its predecessor's.  The restricted rows of
+the warm start come from one evaluation for the whole platoon too, and
+each linearization evaluates every agent's cost share once.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .assembly import (DecomposedModel, HorizonRows, LocalObjective,
                        QuadraticModel, StructuralMatrices, WeightSchedule,
                        assemble_quadratic_model, build_local_objectives,
                        build_structural, decompose_model, local_objective,
-                       local_objective_hessian, restricted_convex_sets)
+                       restricted_convex_sets)
 from .convex import (ConvexQcqp, QcqpInfeasibleError, QcqpResult, box_prox,
                      qcqp_prox, qcqp_solve)
 from .platoon import GRAVITY, PlatoonConfig, PlatoonState
@@ -556,22 +558,23 @@ def _one_step_rows(config: PlatoonConfig, state: PlatoonState,
 
 
 def _restricted_rows(config: PlatoonConfig, state: PlatoonState,
-                     struct: StructuralMatrices, i: int, p: int) -> list:
-    """Inner convex restrictions of vehicle i's horizon rows: the
-    cumulative-control corridor of its speed band, then the convex safety
-    rows."""
-    rs = restricted_convex_sets(
-        config, i, state.v[i], state.v[i - 1],
-        state.spacing_error(config.gap)[i - 1], state.rel_speed()[i - 1],
-        p, struct, u0=state.u0)
-    width = 2 * p if rs.includes_prev else p
-    rows = []
-    for j in range(p):
-        row = np.zeros(width)
-        row[-p:] = struct.S_p[j]
-        rows.append((np.zeros((width, width)), -row, float(rs.cum_lo[j])))
-        rows.append((np.zeros((width, width)), row, -float(rs.cum_hi[j])))
-    return rows + [(A, b, float(c)) for A, b, c in rs.quads]
+                     struct: StructuralMatrices, p: int) -> list:
+    """Inner convex restrictions of every vehicle's horizon rows, from one
+    evaluation of the platoon's restricted sets: the cumulative-control
+    corridor of its speed band, then the convex safety rows; entry i - 1
+    holds vehicle i's."""
+    rs = restricted_convex_sets(config, state, p, struct)
+    out = []
+    for i, w in enumerate([p] + [2 * p] * (config.n - 1)):
+        rows = []
+        for j in range(p):
+            row = np.zeros(w)
+            row[-p:] = struct.S_p[j]
+            rows.append((np.zeros((w, w)), -row, float(rs.cum_lo[i, j])))
+            rows.append((np.zeros((w, w)), row, -float(rs.cum_hi[i, j])))
+        out.append(rows + [(A[-w:, -w:], b[-w:], float(c))
+                           for A, b, c in zip(rs.A[i], rs.b[i], rs.c[i])])
+    return out
 
 
 def _place(rows: list, i: int, first: int, dim: int, p: int) -> list:
@@ -593,10 +596,9 @@ def _place(rows: list, i: int, first: int, dim: int, p: int) -> list:
 # ---------------------------------------------------------------------------
 # warm start: loss-free cost over restricted convex sets
 
-def _linear_problem(a: AgentState) -> ConvexQcqp:
+def _linear_problem(a: AgentState, rows: list) -> ConvexQcqp:
     sh = a.shared
     q = _embed(a.dim, a.sl(a.own_pos), sh.model.c_block(a.i))
-    rows = _restricted_rows(sh.config, sh.state, sh.struct, a.i, a.p)
     return ConvexQcqp(sh.dec.W_hat[a.i - 1], q, a.lo, a.hi,
                       _place(rows, a.i, a.span[0], a.dim, a.p))
 
@@ -611,8 +613,9 @@ def warm_start_linear(agents: list[AgentState],
     rounds of this call and its capped runs go to diag when given."""
     options = options or SolverConfig()
     sh = agents[0].shared
+    rows = _restricted_rows(sh.config, sh.state, sh.struct, agents[0].p)
     for a in agents:
-        a.problem = _linear_problem(a)
+        a.problem = _linear_problem(a, rows[a.i - 1])
     st = _begin_stage(agents, None, seed="carry")
     rounds0 = st.layout.net.rounds
     tol = LIN_TOL
@@ -687,14 +690,13 @@ def scp_step(agents: list[AgentState],
             continue
         u_loc = st.u_hat[sl]
         u_by_block = [u_loc[a.sl(b)] for b in range(len(a.blocks))]
-        _, grads = local_objective(sh.objectives[a.i - 1], u_by_block)
-        hj = local_objective_hessian(sh.objectives[a.i - 1], u_by_block)
+        _, grads, hj = local_objective(sh.objectives[a.i - 1], u_by_block)
         a.grad_J = np.concatenate(grads)
-        a.L_J = NU[p] * float(np.max(np.abs(np.linalg.eigvalsh(hj))))
         if options.convergent:
             vals, vecs = np.linalg.eigh(hj)
             model = (vecs * np.maximum(vals, 0.0)) @ vecs.T
         else:
+            a.L_J = NU[p] * float(np.max(np.abs(np.linalg.eigvalsh(hj))))
             model = a.L_J * np.eye(a.dim)
         eye = np.eye(a.dim)
         a.problem = ConvexQcqp(model, a.grad_J.copy(),
@@ -926,10 +928,9 @@ def solve_centralized_linear(config: PlatoonConfig, weights: WeightSchedule,
     model = assemble_quadratic_model(config, weights, state=state)
     n, p = config.n, weights.p
     struct = build_structural(n, p)
-    quads = []
-    for i in range(1, n + 1):
-        quads += _place(_restricted_rows(config, state, struct, i, p), i, 1,
-                        n * p, p)
+    quads = [row for i, rows in enumerate(
+        _restricted_rows(config, state, struct, p), start=1)
+        for row in _place(rows, i, 1, n * p, p)]
     prob = ConvexQcqp(model.W, model.c,
                       np.repeat(config.accel_min.astype(float), p),
                       np.repeat(config.accel_max.astype(float), p), quads)

@@ -177,8 +177,7 @@ def plan_violation_by_vehicle(config, state, u_plan, struct):
     """Worst violation of the boxes, speed band and safety rows of the
     horizon model at a full (n, p) plan, by a loop over the vehicles that
     calls the row functions once per vehicle; 0.0 when every row holds."""
-    from platoon_mpc.assembly import (safety_constraint_fn,
-                                      speed_constraint_fn)
+    from platoon_mpc.assembly import HorizonRows
 
     n, p = u_plan.shape
     z = state.spacing_error(config.gap)
@@ -189,16 +188,77 @@ def plan_violation_by_vehicle(config, state, u_plan, struct):
         u = u_plan[i - 1]
         worst = max(worst, float(np.max(par.accel_min - u)),
                     float(np.max(u - par.accel_max)))
-        q, _ = speed_constraint_fn(config, par, float(state.v[i]), u)
-        worst = max(worst, float(np.max(config.speed_min - q)),
-                    float(np.max(q - config.speed_max)))
+        rows = HorizonRows(config, par, float(state.v[i]), u)
+        worst = max(worst, float(np.max(config.speed_min - rows.q)),
+                    float(np.max(rows.q - config.speed_max)))
         prev = config.leader if i == 1 else config.vehicles[i - 2]
         u_prev = np.full(p, state.u0) if i == 1 else u_plan[i - 2]
-        h, _, _ = safety_constraint_fn(
-            config, par, prev, float(state.v[i]), float(state.v[i - 1]),
-            float(z[i - 1]), float(zp[i - 1]), u, u_prev, struct)
+        h, _, _ = rows.safety(prev, float(state.v[i - 1]), float(z[i - 1]),
+                              float(zp[i - 1]), u_prev, struct)
         worst = max(worst, float(np.max(h)))
     return worst
+
+
+def restricted_sets_by_vehicle(config, state, i, p, struct):
+    """Vehicle i's restricted corridor and convex safety rows, by scalar
+    loops over the stages and the steps before each: (cum_lo, cum_hi,
+    [(A, b, c)] per stage), the rows over (u_prev, u_own), or over u_own
+    alone for the first vehicle."""
+    tau = config.tau
+    par = config.vehicles[i - 1]
+    prev = config.leader if i == 1 else config.vehicles[i - 2]
+    v, v_prev = state.v[i], state.v[i - 1]
+    z = state.spacing_error(config.gap)[i - 1]
+    zp = state.rel_speed()[i - 1]
+    c3g = par.roll * GRAVITY
+    grave, breve = [v], [v]
+    for j in range(1, p):
+        grave.append(config.speed_min + j * tau * c3g)
+        breve.append(config.speed_max + j * tau * c3g
+                     + tau * par.drag * sum(b * b for b in breve))
+    grave, breve = np.array(grave), np.array(breve)
+    grave_sq = np.cumsum(grave * grave)
+    breve_sq = np.cumsum(breve * breve)
+    j_idx = np.arange(1, p + 1)
+    cum_lo = (config.speed_min + j_idx * tau * c3g
+              + tau * par.drag * breve_sq - v) / tau
+    cum_hi = (config.speed_max + j_idx * tau * c3g
+              + tau * par.drag * grave_sq - v) / tau
+
+    kappa = 0.5 * struct.R_p
+    s_p = struct.S_p
+    dim = 2 * p if i > 1 else p
+    own0 = p if i > 1 else 0
+    quads = []
+    for j in range(1, p + 1):
+        A = np.zeros((dim, dim))
+        b = np.zeros(dim)
+        cst = 0.0
+        phi = v + tau * (-j * c3g - par.drag * grave_sq[j - 1])
+        t_row = tau * s_p[j - 1, :]
+        cst += par.length + par.headway * phi
+        b[own0:own0 + p] += par.headway * t_row
+        m0 = phi - config.speed_min
+        A[own0:own0 + p, own0:own0 + p] += (-1.0 / par.accel_min) * \
+            np.outer(t_row, t_row)
+        b[own0:own0 + p] += (-1.0 / par.accel_min) * m0 * t_row
+        cst += (-1.0 / (2.0 * par.accel_min)) * m0 * m0
+        cst -= z + config.gap + j * tau * zp
+        for s in range(j):
+            k_js = tau * tau * kappa[j - 1, s]
+            b[own0 + s] += k_js
+            cst += k_js * (prev.roll - par.roll) * GRAVITY
+            cst -= k_js * par.drag * grave[s] * grave[s]
+            if i > 1:
+                b[s] -= k_js
+                row = tau * (s_p[s - 1, :] if s >= 1 else np.zeros(p))
+                A[:p, :p] += 2.0 * k_js * prev.drag * np.outer(row, row)
+                b[:p] += 2.0 * k_js * prev.drag * v_prev * row
+                cst += k_js * prev.drag * v_prev * v_prev
+            else:
+                cst -= k_js * state.u0
+        quads.append((0.5 * (A + A.T), b, cst))
+    return cum_lo, cum_hi, quads
 
 
 def _agent_row(a, own, prev=None, curv=0.0, const=0.0):
@@ -224,18 +284,16 @@ def _vehicle_data(a):
 def p1_rows_by_agent(a):
     """Agent a's rows at the one-step horizon (speed band, then safety),
     rebuilt with one call of the row functions for its vehicle alone."""
-    from platoon_mpc.assembly import (safety_constraint_fn,
-                                      safety_constraint_hessians)
+    from platoon_mpc.assembly import HorizonRows
 
     cfg, st, par, prev, v, v_prev, z, zp = _vehicle_data(a)
     tau = cfg.tau
     e = par.drag * v * v + par.roll * GRAVITY
     u_prev = np.array([st.u0 if a.i == 1 else 0.0])
-    h, g_own, g_prev = safety_constraint_fn(cfg, par, prev, v, v_prev, z, zp,
-                                            np.zeros(1), u_prev,
-                                            a.shared.struct)
-    own_h, _ = safety_constraint_hessians(cfg, par, prev, v, np.zeros(1),
-                                          a.shared.struct)
+    rows = HorizonRows(cfg, par, v, np.zeros(1))
+    h, g_own, g_prev = rows.safety(prev, v_prev, z, zp, u_prev,
+                                   a.shared.struct)
+    own_h, _ = rows.hessians(prev, a.shared.struct)
     safety = _agent_row(a, g_own[0], g_prev[0], const=h[0])
     safety[0][a.own_pos, a.own_pos] = own_h[0, 0, 0]
     return [_agent_row(a, -tau, const=cfg.speed_min - v + tau * e),
@@ -248,20 +306,17 @@ def scp_rows_by_agent(a, u_loc, lip_factor):
     row functions for its vehicle alone: the own block of u_loc and its
     copy of the predecessor's (the leader's constant control for the
     first agent)."""
-    from platoon_mpc.assembly import (safety_constraint_fn,
-                                      safety_constraint_hessians,
-                                      speed_constraint_fn)
+    from platoon_mpc.assembly import HorizonRows
 
     cfg, st, par, prev, v, v_prev, z, zp = _vehicle_data(a)
     p, tau, struct = a.p, cfg.tau, a.shared.struct
     u_own = u_loc[a.sl(a.own_pos)]
     u_prev = (np.full(p, st.u0) if a.i == 1
               else u_loc[a.sl(a.own_pos - 1)])
-    q, q_grad = speed_constraint_fn(cfg, par, v, u_own)
-    h, g_own, g_prev = safety_constraint_fn(cfg, par, prev, v, v_prev, z, zp,
-                                            u_own, u_prev, struct)
-    own_h, prev_h = safety_constraint_hessians(cfg, par, prev, v, u_own,
-                                               struct)
+    rows = HorizonRows(cfg, par, v, u_own)
+    q, q_grad = rows.q, rows.q_grad
+    h, g_own, g_prev = rows.safety(prev, v_prev, z, zp, u_prev, struct)
+    own_h, prev_h = rows.hessians(prev, struct)
     lower, d2 = [], np.zeros((p, p))
     for j in range(p):
         if j:
@@ -333,8 +388,7 @@ def horizon_minimizer(config, weights, state, x0):
     safety rows.  Returns the plan and the cost gradient norm there."""
     from scipy.optimize import minimize
 
-    from platoon_mpc.assembly import (local_objective, safety_constraint_fn,
-                                      speed_constraint_fn)
+    from platoon_mpc.assembly import HorizonRows, local_objective
     from platoon_mpc.solver import formulate_local
 
     agents = formulate_local(config, weights, state)
@@ -347,8 +401,8 @@ def horizon_minimizer(config, weights, state, x0):
         u = x.reshape(n, p)
         value, grad = 0.0, np.zeros((n, p))
         for a in agents:
-            val, grads = local_objective(shared.objectives[a.i - 1],
-                                         [u[j - 1] for j in a.blocks])
+            val, grads, _ = local_objective(shared.objectives[a.i - 1],
+                                            [u[j - 1] for j in a.blocks])
             value += val
             for j, g in zip(a.blocks, grads):
                 grad[j - 1] += g
@@ -359,16 +413,14 @@ def horizon_minimizer(config, weights, state, x0):
         out = []
         for i in range(1, n + 1):
             par = config.vehicles[i - 1]
-            q, _ = speed_constraint_fn(config, par, float(state.v[i]),
-                                       u[i - 1])
+            rows = HorizonRows(config, par, float(state.v[i]), u[i - 1])
             prev = config.leader if i == 1 else config.vehicles[i - 2]
             u_prev = np.full(p, state.u0) if i == 1 else u[i - 2]
-            h, _, _ = safety_constraint_fn(
-                config, par, prev, float(state.v[i]), float(state.v[i - 1]),
-                float(z[i - 1]), float(zp[i - 1]), u[i - 1], u_prev,
-                shared.struct)
-            out.append(np.concatenate([q - config.speed_min,
-                                       config.speed_max - q, -h]))
+            h, _, _ = rows.safety(prev, float(state.v[i - 1]),
+                                  float(z[i - 1]), float(zp[i - 1]), u_prev,
+                                  shared.struct)
+            out.append(np.concatenate([rows.q - config.speed_min,
+                                       config.speed_max - rows.q, -h]))
         return np.concatenate(out)
 
     bounds = [(v.accel_min, v.accel_max) for v in config.vehicles

@@ -15,12 +15,11 @@ from oracles import exact_horizon_cost, fd_grad
 from test_assembly import random_schedule
 from test_solver import loss_scaled, offset_state
 
-from platoon_mpc.assembly import (approx_accel, approx_accel_jacobian,
-                                  exact_accel,
+from platoon_mpc.assembly import (HorizonRows, approx_accel,
+                                  approx_accel_jacobian, exact_accel,
                                   assemble_quadratic_model, build_structural,
                                   build_local_objectives, decompose_model,
-                                  decomposition_residual, local_objective,
-                                  safety_constraint_fn, speed_constraint_fn)
+                                  decomposition_residual, local_objective)
 from platoon_mpc.cli import compare_centralized
 from platoon_mpc.loop import (Scenario, brake_scenario, build_closed_loop,
                               schur_check, simulate, steady_state_error,
@@ -247,7 +246,7 @@ def test_criterion_10_gradient_suite():
         locs = build_local_objectives(cfg, model, decompose_model(model), st)
         lo = locs[int(rng.integers(0, n))]
         blocks = [rng.uniform(-2.0, 1.0, p) for _ in lo.blocks]
-        _, grads = local_objective(lo, blocks)
+        _, grads, _ = local_objective(lo, blocks)
         flat = np.concatenate(blocks)
 
         def as_fn(x):
@@ -264,10 +263,9 @@ def test_criterion_10_gradient_suite():
         par = cfg.vehicles[int(rng.integers(0, cfg.n))]
         u = rng.uniform(-2.0, 1.0, 4)
         v = float(rng.uniform(18.0, 26.0))
-        _, grad = speed_constraint_fn(cfg, par, v, u)
+        grad = HorizonRows(cfg, par, v, u).q_grad
         for t in range(4):
-            ref = fd_grad(
-                lambda x: speed_constraint_fn(cfg, par, v, x)[0][t], u)
+            ref = fd_grad(lambda x: HorizonRows(cfg, par, v, x).q[t], u)
             track(np.max(np.abs(grad[t] - ref))
                   / (1.0 + np.max(np.abs(ref))))
 
@@ -278,13 +276,14 @@ def test_criterion_10_gradient_suite():
         u_prev = rng.uniform(-2.0, 1.0, 4)
         v, vp = float(rng.uniform(18.0, 26.0)), float(rng.uniform(18.0, 26.0))
         z, zp = float(rng.uniform(-1.0, 2.0)), float(rng.uniform(-0.5, 0.5))
-        _, g_own, g_prev = safety_constraint_fn(cfg, par, prev, v, vp, z, zp,
-                                                u, u_prev, struct4)
+        def safety(x, xp):
+            return HorizonRows(cfg, par, v, x).safety(prev, vp, z, zp, xp,
+                                                      struct4)
+
+        _, g_own, g_prev = safety(u, u_prev)
         j = int(rng.integers(0, 4))
-        ref_own = fd_grad(lambda x: safety_constraint_fn(
-            cfg, par, prev, v, vp, z, zp, x, u_prev, struct4)[0][j], u)
-        ref_prev = fd_grad(lambda x: safety_constraint_fn(
-            cfg, par, prev, v, vp, z, zp, u, x, struct4)[0][j], u_prev)
+        ref_own = fd_grad(lambda x: safety(x, u_prev)[0][j], u)
+        ref_prev = fd_grad(lambda x: safety(u, x)[0][j], u_prev)
         track(np.max(np.abs(g_own[j] - ref_own))
               / (1.0 + np.max(np.abs(ref_own))))
         track(np.max(np.abs(g_prev[j] - ref_prev))

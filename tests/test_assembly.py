@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import cruise_state
-from oracles import (exact_horizon_cost, fd_grad, tracking_cost_from_accels,
-                     w_star_reference)
+from oracles import (exact_horizon_cost, fd_grad, restricted_sets_by_vehicle,
+                     tracking_cost_from_accels, w_star_reference)
 from platoon_mpc.assembly import (
-    WeightSchedule, approx_accel, approx_accel_jacobian,
+    HorizonRows, WeightSchedule, approx_accel, approx_accel_jacobian,
     assemble_quadratic_model, build_local_objectives, build_structural,
     decompose_model, decomposition_residual, exact_accel, local_objective,
-    local_objective_hessian, pseudo_speeds, restricted_convex_sets,
-    safety_constraint_fn, safety_constraint_hessians, speed_constraint_fn,
-    speed_envelopes,
+    pseudo_speeds, restricted_convex_sets, speed_envelopes,
 )
 from platoon_mpc.platoon import PlatoonState, h_one_step, random_feasible_state
 from platoon_mpc.presets import PLATOON_NAMES, platoon_preset, weight_preset
@@ -306,7 +304,8 @@ def test_accel_jacobian_fd(rng):
 def test_speed_constraint_single_stage_exact(small):
     par = small.vehicles[0]
     u = np.array([0.7])
-    q, grad = speed_constraint_fn(small, par, 25.0, u)
+    rows = HorizonRows(small, par, 25.0, u)
+    q, grad = rows.q, rows.q_grad
     v_next = 25.0 + small.tau * (0.7 - par.drag * 625.0 - par.roll * 9.8)
     assert q[0] == pytest.approx(v_next, abs=1e-12)
     assert grad[0, 0] == pytest.approx(small.tau, abs=1e-12)
@@ -317,10 +316,9 @@ def test_speed_constraint_gradient_fd(rng):
     par = cfg.vehicles[0]
     for _ in range(5):
         u = rng.uniform(-2.0, 1.0, 4)
-        q, grad = speed_constraint_fn(cfg, par, 23.0, u)
+        grad = HorizonRows(cfg, par, 23.0, u).q_grad
         for t in range(4):
-            g = fd_grad(lambda x: speed_constraint_fn(cfg, par, 23.0, x)[0][t],
-                        u)
+            g = fd_grad(lambda x: HorizonRows(cfg, par, 23.0, x).q[t], u)
             assert np.max(np.abs(grad[t] - g)) <= 1e-6 * (1.0 + np.max(np.abs(g)))
 
 
@@ -328,7 +326,7 @@ def test_speed_constraint_tracks_rolled_speeds(rng):
     cfg = platoon_preset("medium")
     par = cfg.vehicles[2]
     u = rng.uniform(-1.0, 1.0, 5)
-    q, _ = speed_constraint_fn(cfg, par, 24.0, u)
+    q = HorizonRows(cfg, par, 24.0, u).q
     speed = 24.0
     rolled = []
     for t in range(5):
@@ -354,9 +352,9 @@ def test_safety_constraint_single_stage_matches_one_step(medium, rng):
             prev = medium.leader if i == 1 else medium.vehicles[i - 2]
             u_prev = (np.array([state.u0]) if i == 1
                       else np.array([u[i - 2]]))
-            h, _, _ = safety_constraint_fn(
-                medium, par, prev, state.v[i], state.v[i - 1],
-                z[i - 1], zp[i - 1], np.array([u[i - 1]]), u_prev, struct)
+            h, _, _ = HorizonRows(
+                medium, par, state.v[i], np.array([u[i - 1]])).safety(
+                prev, state.v[i - 1], z[i - 1], zp[i - 1], u_prev, struct)
             assert h[0] == pytest.approx(ref[i - 1], abs=1e-9)
 
 
@@ -367,15 +365,14 @@ def test_safety_constraint_gradients_fd(large, rng):
     prev = large.vehicles[0]
     u = rng.uniform(-2.0, 1.0, p)
     u_prev = rng.uniform(-2.0, 1.0, p)
-    h, g_own, g_prev = safety_constraint_fn(
-        large, par, prev, 23.0, 24.0, 1.5, -0.4, u, u_prev, struct)
+    def safety(x, xp):
+        return HorizonRows(large, par, 23.0, x).safety(
+            prev, 24.0, 1.5, -0.4, xp, struct)
+
+    h, g_own, g_prev = safety(u, u_prev)
     for j in range(p):
-        g1 = fd_grad(lambda x: safety_constraint_fn(
-            large, par, prev, 23.0, 24.0, 1.5, -0.4, x, u_prev, struct)[0][j],
-            u)
-        g2 = fd_grad(lambda x: safety_constraint_fn(
-            large, par, prev, 23.0, 24.0, 1.5, -0.4, u, x, struct)[0][j],
-            u_prev)
+        g1 = fd_grad(lambda x: safety(x, u_prev)[0][j], u)
+        g2 = fd_grad(lambda x: safety(u, x)[0][j], u_prev)
         assert np.max(np.abs(g_own[j] - g1)) <= 1e-6 * (1.0 + np.max(np.abs(g1)))
         assert np.max(np.abs(g_prev[j] - g2)) <= 1e-6 * (1.0 + np.max(np.abs(g2)))
 
@@ -387,11 +384,11 @@ def test_safety_constraint_hessians_fd(large, rng):
     prev = large.vehicles[1]
     u = rng.uniform(-2.0, 1.0, p)
     u_prev = rng.uniform(-2.0, 1.0, p)
-    own, prv = safety_constraint_hessians(large, par, prev, 23.0, u, struct)
+    own, prv = HorizonRows(large, par, 23.0, u).hessians(prev, struct)
 
     def row(j, x, xp):
-        return safety_constraint_fn(large, par, prev, 23.0, 24.0, 1.5, -0.4,
-                                    x, xp, struct)[0][j]
+        return HorizonRows(large, par, 23.0, x).safety(
+            prev, 24.0, 1.5, -0.4, xp, struct)[0][j]
 
     eps = 1e-4
     for j in range(p):
@@ -434,7 +431,7 @@ def test_local_objectives_sum_to_central(rng):
     total = 0.0
     for lo in locs:
         blocks = [u_plan[j - 1] for j in lo.blocks]
-        val, _ = local_objective(lo, blocks)
+        val, _, _ = local_objective(lo, blocks)
         total += val
     a = np.concatenate([
         approx_accel(cfg.vehicles[i], cfg.tau, state.v[i + 1], u_plan[i])
@@ -455,7 +452,7 @@ def test_local_objective_gradients_fd(rng):
     locs = build_local_objectives(cfg, model, dec, state)
     for lo in locs:
         blocks = [rng.uniform(-2.0, 1.0, p) for _ in lo.blocks]
-        val, grads = local_objective(lo, blocks)
+        val, grads, _ = local_objective(lo, blocks)
         flat = np.concatenate(blocks)
 
         def as_fn(x):
@@ -477,7 +474,7 @@ def test_local_objective_hessian_fd(rng):
     locs = build_local_objectives(cfg, model, dec, state)
     lo = locs[1]
     blocks = [rng.uniform(-2.0, 1.0, p) for _ in lo.blocks]
-    hess = local_objective_hessian(lo, blocks)
+    hess = local_objective(lo, blocks)[2]
     flat = np.concatenate(blocks)
     dim = flat.size
     for _ in range(3):
@@ -500,12 +497,29 @@ def test_speed_envelopes_bracket_pseudo_speeds(small, rng):
     assert np.all(grave <= breve + 1e-12)
     for _ in range(40):
         u = rng.uniform(-2.0, 1.0, p)
-        q, _ = speed_constraint_fn(small, par, 25.0, u)
+        q = HorizonRows(small, par, 25.0, u).q
         if np.any(q < small.speed_min) or np.any(q > small.speed_max):
             continue
         sig = pseudo_speeds(small.tau, 25.0, u)[:-1]
         assert np.all(sig >= grave - 1e-9)
         assert np.all(sig <= breve + 1e-9)
+
+
+def pair_state(config, i, v, v_prev, z, u0=0.0):
+    """Cruise state at speed v in which vehicle i (1-based) follows its
+    predecessor at speed v_prev with spacing error z."""
+    st = cruise_state(config, speed=v, u0=u0)
+    st.v[i - 1] = v_prev
+    st.x[i:] -= z
+    return st
+
+
+def restricted_quads(rs, i, p):
+    """Vehicle i's convex safety rows over (u_prev, u_own), over u_own
+    alone for the first vehicle."""
+    w = p if i == 1 else 2 * p
+    return [(A[-w:, -w:], b[-w:], c)
+            for A, b, c in zip(rs.A[i - 1], rs.b[i - 1], rs.c[i - 1])]
 
 
 def test_restricted_corridor_lossfree_reduces_to_band():
@@ -514,18 +528,21 @@ def test_restricted_corridor_lossfree_reduces_to_band():
         veh.drag = 0.0
         veh.roll = 0.0
     struct = build_structural(2, 3)
-    rs = restricted_convex_sets(cfg, 1, 24.0, 25.0, 0.0, 0.0, 3, struct)
+    st = pair_state(cfg, 1, 24.0, 25.0, 0.0)
+    rs = restricted_convex_sets(cfg, st, 3, struct)
     assert np.allclose(rs.cum_lo, (cfg.speed_min - 24.0) / cfg.tau)
     assert np.allclose(rs.cum_hi, (cfg.speed_max - 24.0) / cfg.tau)
 
 
 def test_restricted_quads_are_convex(medium):
-    struct = build_structural(medium.n, 4)
+    p = 4
+    struct = build_structural(medium.n, p)
     for i in (1, 2, 5):
-        rs = restricted_convex_sets(medium, i, 23.0, 24.0, 0.5, -0.2, 4,
-                                    struct)
-        assert rs.includes_prev == (i > 1)
-        for A, b, c in rs.quads:
+        st = pair_state(medium, i, 23.0, 24.0, 0.5)
+        rs = restricted_convex_sets(medium, st, p, struct)
+        # only the first vehicle's rows leave its predecessor's columns out
+        assert np.any(rs.b[i - 1, :, :p]) == (i > 1)
+        for A, b, c in restricted_quads(rs, i, p):
             assert np.linalg.eigvalsh(A)[0] >= -1e-12
 
 
@@ -542,23 +559,25 @@ def test_restricted_sets_are_inner(tight, rng):
     v, v_prev = 22.0, 23.0
     z = -24.0 if tight else 0.0   # tight: 0.9 m above the safety bound
     zp = v_prev - v
-    rs = restricted_convex_sets(cfg, i, v, v_prev, z, zp, p, struct)
+    rs = restricted_convex_sets(cfg, pair_state(cfg, i, v, v_prev, z), p,
+                                struct)
+    quads = restricted_quads(rs, i, p)
     checked = 0
     for _ in range(400):
         u_own = rng.uniform(par.accel_min, par.accel_max, p)
         u_prev = rng.uniform(prev.accel_min, prev.accel_max, p)
         cums = np.cumsum(u_own)
-        if np.any(cums < rs.cum_lo - 1e-12) or np.any(cums > rs.cum_hi + 1e-12):
+        if (np.any(cums < rs.cum_lo[i - 1] - 1e-12)
+                or np.any(cums > rs.cum_hi[i - 1] + 1e-12)):
             continue
         y = np.concatenate([u_prev, u_own])
-        tilde = np.array([quad_value(qd, y) for qd in rs.quads])
-        h, _, _ = safety_constraint_fn(cfg, par, prev, v, v_prev, z, zp,
-                                       u_own, u_prev, struct)
+        tilde = np.array([quad_value(qd, y) for qd in quads])
+        rows = HorizonRows(cfg, par, v, u_own)
+        h, _, _ = rows.safety(prev, v_prev, z, zp, u_prev, struct)
         # the convex rows upper-bound the true residuals ...
         assert np.all(tilde >= h - 1e-9)
-        q, _ = speed_constraint_fn(cfg, par, v, u_own)
-        assert np.all(q >= cfg.speed_min - 1e-9)
-        assert np.all(q <= cfg.speed_max + 1e-9)
+        assert np.all(rows.q >= cfg.speed_min - 1e-9)
+        assert np.all(rows.q <= cfg.speed_max + 1e-9)
         # ... so restricted-feasible points are truly feasible
         if np.all(tilde <= 0.0):
             assert np.all(h <= 1e-9)
@@ -572,15 +591,43 @@ def test_restricted_sets_leader_term(small, rng):
     p = 2
     struct = build_structural(small.n, p)
     u0 = -1.0
-    rs = restricted_convex_sets(small, 1, 24.0, 25.0, 0.0, 1.0, p, struct,
-                                u0=u0)
-    assert not rs.includes_prev
+    rs = restricted_convex_sets(small, pair_state(small, 1, 24.0, 25.0, 0.0,
+                                                  u0=u0), p, struct)
+    assert not np.any(rs.A[0, :, :p]) and not np.any(rs.b[0, :, :p])
     par = small.vehicles[0]
     u_own = rng.uniform(-2.0, 1.0, p)
-    tilde = np.array([quad_value(qd, u_own) for qd in rs.quads])
-    h, _, _ = safety_constraint_fn(small, par, small.leader, 24.0, 25.0,
-                                   0.0, 1.0, u_own, np.full(p, u0), struct)
+    tilde = np.array([quad_value(qd, u_own)
+                      for qd in restricted_quads(rs, 1, p)])
+    h, _, _ = HorizonRows(small, par, 24.0, u_own).safety(
+        small.leader, 25.0, 0.0, 1.0, np.full(p, u0), struct)
     assert np.all(tilde >= h - 1e-9)
+
+
+@pytest.mark.parametrize("name", PLATOON_NAMES)
+def test_restricted_sets_match_the_per_vehicle_loop(name):
+    # the broadcast rows equal the per-vehicle loop bit for bit, with the
+    # leader braking or accelerating; the first vehicle's predecessor
+    # columns are zero
+    cfg = platoon_preset(name)
+    rng = np.random.default_rng(PLATOON_NAMES.index(name))
+    for p in range(1, 6):
+        struct = build_structural(cfg.n, p)
+        for _ in range(4):
+            st = random_feasible_state(cfg, rng)
+            st.u0 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0))
+            rs = restricted_convex_sets(cfg, st, p, struct)
+            assert not np.any(rs.A[0, :, :p]) and not np.any(rs.A[0, :, :, :p])
+            assert not np.any(rs.b[0, :, :p])
+            for i in range(1, cfg.n + 1):
+                cum_lo, cum_hi, quads = restricted_sets_by_vehicle(
+                    cfg, st, i, p, struct)
+                assert np.array_equal(rs.cum_lo[i - 1], cum_lo)
+                assert np.array_equal(rs.cum_hi[i - 1], cum_hi)
+                for (A, b, c), (A_ref, b_ref, c_ref) in zip(
+                        restricted_quads(rs, i, p), quads, strict=True):
+                    assert np.array_equal(A, A_ref)
+                    assert np.array_equal(b, b_ref)
+                    assert np.array_equal(c, c_ref)
 
 
 @pytest.mark.parametrize("name, p", [("small", 1), ("medium", 3),
@@ -596,6 +643,11 @@ def test_row_functions_broadcast_over_vehicles(name, p, rng):
     v, v_prev = st.v[1:], st.v[:-1]
     own, prev = cfg.followers, cfg.predecessors
     preds = [cfg.leader] + cfg.vehicles[:-1]
+    rows = HorizonRows(cfg, own, v, u)
+
+    def rows_of(i):
+        return HorizonRows(cfg, cfg.vehicles[i], v[i], u[i])
+
     calls = [
         (lambda: pseudo_speeds(cfg.tau, v, u),
          lambda i: pseudo_speeds(cfg.tau, v[i], u[i])),
@@ -604,16 +656,15 @@ def test_row_functions_broadcast_over_vehicles(name, p, rng):
         (lambda: approx_accel_jacobian(own, cfg.tau, v, u),
          lambda i: approx_accel_jacobian(cfg.vehicles[i], cfg.tau, v[i],
                                          u[i])),
-        (lambda: speed_constraint_fn(cfg, own, v, u),
-         lambda i: speed_constraint_fn(cfg, cfg.vehicles[i], v[i], u[i])),
-        (lambda: safety_constraint_fn(cfg, own, prev, v, v_prev, z, zp, u,
-                                      u_prev, struct),
-         lambda i: safety_constraint_fn(cfg, cfg.vehicles[i], preds[i], v[i],
-                                        v_prev[i], z[i], zp[i], u[i],
-                                        u_prev[i], struct)),
-        (lambda: safety_constraint_hessians(cfg, own, prev, v, u, struct),
-         lambda i: safety_constraint_hessians(cfg, cfg.vehicles[i],
-                                              preds[i], v[i], u[i], struct)),
+        (lambda: speed_envelopes(cfg, own, v, p),
+         lambda i: speed_envelopes(cfg, cfg.vehicles[i], v[i], p)),
+        (lambda: (rows.q, rows.q_grad),
+         lambda i: (rows_of(i).q, rows_of(i).q_grad)),
+        (lambda: rows.safety(prev, v_prev, z, zp, u_prev, struct),
+         lambda i: rows_of(i).safety(preds[i], v_prev[i], z[i], zp[i],
+                                     u_prev[i], struct)),
+        (lambda: rows.hessians(prev, struct),
+         lambda i: rows_of(i).hessians(preds[i], struct)),
     ]
     for batched, single in calls:
         got = batched()

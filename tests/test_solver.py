@@ -14,8 +14,8 @@ from oracles import (consensus_gap_by_copies, horizon_minimizer,
                      projection_by_lstsq, prox_by_solve, scp_rows_by_agent,
                      stationarity_by_agent, w_star_reference)
 from platoon_mpc import loop, solver
-from platoon_mpc.assembly import (assemble_quadratic_model, build_structural,
-                                  safety_constraint_fn, speed_constraint_fn)
+from platoon_mpc.assembly import (HorizonRows, assemble_quadratic_model,
+                                  build_structural)
 from platoon_mpc.convex import ConvexQcqp, box_prox
 from platoon_mpc.loop import Scenario, cruise_scenario, simulate
 from platoon_mpc.platoon import (GRAVITY, PlatoonState,
@@ -23,9 +23,9 @@ from platoon_mpc.platoon import (GRAVITY, PlatoonState,
 from platoon_mpc.presets import platoon_preset, weight_preset
 from platoon_mpc.solver import (
     INNER_TOL, LIP_FACTOR, NU, OUTER_TOL, LocalExchange, LocalityError,
-    MpcDiagnostics, SolverConfig, _average, _begin_stage, _block_metric,
-    _consensus_gap, _p1_problems, _run_rounds, _splitting, _stationarity,
-    dr_round, formulate_local, plan_violation, scp_step,
+    MpcDiagnostics, SolverConfig, WarmStartError, _average, _begin_stage,
+    _block_metric, _consensus_gap, _p1_problems, _run_rounds, _splitting,
+    _stationarity, dr_round, formulate_local, plan_violation, scp_step,
     solve_centralized_linear, solve_centralized_p1, solve_mpc,
     warm_start_linear,
 )
@@ -676,10 +676,10 @@ def test_majorant_rows_dominate_sampled(small, rng, monkeypatch):
                         a.lo, a.hi) - u_hat
             y_own = u_own + d[own_sl]
             y_prev = u_prev if a.i == 1 else u_prev + d[a.sl(a.own_pos - 1)]
-            q_t, _ = speed_constraint_fn(small, par, v, y_own)
-            h_t, _, _ = safety_constraint_fn(
-                small, par, prev, v, v_prev, z[a.i - 1], zp[a.i - 1],
-                y_own, y_prev, a.shared.struct)
+            rows = HorizonRows(small, par, v, y_own)
+            q_t = rows.q
+            h_t, _, _ = rows.safety(prev, v_prev, z[a.i - 1], zp[a.i - 1],
+                                    y_prev, a.shared.struct)
             for j in range(p):
                 # lower speed rows carry a constant curvature bound, so the
                 # majorant is global; safety curvature drifts with the
@@ -815,3 +815,82 @@ def test_convergent_warm_start_stays_off_the_barrier(medium, monkeypatch):
     assert diag.capped_runs == 0
     assert plan_violation(medium, st, plan,
                           agents[0].shared.struct) <= 1e-8
+
+
+# States on which the default (calibrated) scheme breaks recursive
+# feasibility: each is feasible, its leader control keeps the leader in
+# the speed band for the whole horizon, and no feasible plan comes back.
+# The default_rng([11, p]) states are drawn like P5_X, the presets in
+# turn from state 0.
+
+# random_feasible_state(large, default_rng(13)) with u0 = -1.0: the plan
+# ends 2.848e-05 outside its rows after 6 guard retries
+LARGE_P3_X = [0.0, -73.65056781628351, -130.53073179965247,
+              -169.94216637653747, -211.36866963458874, -282.5484391572569,
+              -337.7193958706272, -363.7036251808962, -440.59917017484725,
+              -515.9013892810462, -552.4415093279293]
+LARGE_P3_V = [25.011303510138323, 24.851976200559953, 24.10897263160126,
+              14.887069944568477, 11.795406900515111, 26.381695795884944,
+              20.79942457577037, 10.54414404584931, 25.77663244794476,
+              27.02500231448618, 15.30405701790834]
+LARGE_P3_U0 = -1.0
+
+# state 7 of default_rng([11, 3]) (medium): 1.834e-03 outside its rows
+# after 6 guard retries
+MEDIUM_P3_X = [0.0, -44.624605242988096, -103.02671884105561,
+               -145.5477532626869, -204.04560836913595, -272.0808193840407,
+               -326.078580202938, -358.31410692048934, -381.35902653570196,
+               -440.3728587407757, -483.77985833739865]
+MEDIUM_P3_V = [26.061291696584494, 17.09734390287189, 22.97641579463705,
+               15.752541581218765, 22.038527469480172, 25.704788950193922,
+               25.76130769622675, 18.809373541151462, 11.41181735217089,
+               25.455762463772018, 15.041719021189953]
+MEDIUM_P3_U0 = -3.226558171436542
+
+# state 7 of default_rng([11, 5]) (medium): 6.419e-05 outside its rows
+# after 6 guard retries and 58 outer steps
+MEDIUM_P5_X = [0.0, -61.10105227875905, -109.75024828308275,
+               -147.61180260193618, -184.3819739142387, -234.90603719744263,
+               -267.48906095229813, -312.4034056534884, -372.03768724067953,
+               -412.60999183871473, -452.6730439002703]
+MEDIUM_P5_V = [13.039422788940898, 22.806828963620966, 19.80892059207654,
+               16.47556984636749, 13.568482788827328, 23.78146746962341,
+               11.412642075413926, 19.8928896656602, 26.534027020503487,
+               13.000994511053864, 14.66575068718091]
+MEDIUM_P5_U0 = 0.0082494659334581
+
+# state 3 of default_rng([11, 5]) (small): the warm start raises
+# WarmStartError, its plan 2.07e-08 outside the rows against GUARD_TOL 1e-08
+SMALL_P5_X = [0.0, -51.124815830046906, -88.80851312224962,
+              -118.69381225649272, -179.79104779786002, -243.3236980673393,
+              -290.5175176469212, -321.3539740736902, -340.4631976257354,
+              -374.6517888081602, -424.74048799938566]
+SMALL_P5_V = [25.030445848262005, 24.31903745640031, 15.101773559683444,
+              13.650364802439965, 25.8651417075479, 25.493799976997252,
+              20.41430815164364, 17.835592339651452, 10.849565057056317,
+              13.094590271889501, 20.759314302595428]
+SMALL_P5_U0 = -0.20205565766574463
+
+
+DEFAULT_SCHEME_FAILURES = {
+    "large-p3": ("large", 3, LARGE_P3_X, LARGE_P3_V, LARGE_P3_U0),
+    "medium-p3": ("medium", 3, MEDIUM_P3_X, MEDIUM_P3_V, MEDIUM_P3_U0),
+    "medium-p5": ("medium", 5, MEDIUM_P5_X, MEDIUM_P5_V, MEDIUM_P5_U0),
+    "small-p5": ("small", 5, SMALL_P5_X, SMALL_P5_V, SMALL_P5_U0),
+}
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=pytest.mark.xfail(
+        strict=True, raises=raises,
+        reason="the default scheme returns no feasible plan"))
+    for case, raises in (("large-p3", AssertionError),
+                         ("medium-p3", AssertionError),
+                         ("medium-p5", AssertionError),
+                         ("small-p5", WarmStartError))])
+def test_default_scheme_returns_a_feasible_plan(case):
+    name, p, x, v, u0 = DEFAULT_SCHEME_FAILURES[case]
+    st = PlatoonState(np.array(x), np.array(v), u0)
+    res = solve_mpc(formulate_local(platoon_preset(name),
+                                    weight_preset(name, p), st))
+    assert res.diagnostics.feasible
