@@ -73,7 +73,6 @@ class StructuralMatrices:
 
     n: int
     p: int
-    S_n: np.ndarray        # lower-triangular ones, cumulative sum over vehicles
     S_n_inv: np.ndarray    # first-difference inverse
     S_p: np.ndarray        # cumulative sum over the horizon
     S_p_shift: np.ndarray  # one-step-delayed cumulative sum
@@ -84,14 +83,13 @@ class StructuralMatrices:
 def build_structural(n: int, p: int) -> StructuralMatrices:
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
-    S_n = np.tril(np.ones((n, n)))
     S_n_inv = np.eye(n) - np.diag(np.ones(n - 1), -1) if n > 1 else np.eye(1)
     steps = np.arange(p)
     R_p = np.tril(2.0 * np.subtract.outer(steps, steps) + 1.0)
     # time-major row n * k + s reads vehicle-major entry p * s + k
     rows = np.arange(n * p)
     E = np.eye(n * p)[p * (rows % n) + rows // n]
-    return StructuralMatrices(n, p, S_n, S_n_inv, np.tri(p), np.tri(p, k=-1),
+    return StructuralMatrices(n, p, S_n_inv, np.tri(p), np.tri(p, k=-1),
                               R_p, E)
 
 

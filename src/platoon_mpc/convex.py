@@ -1,7 +1,8 @@
 """Small dense convex QCQP kernel.
 
 Problems have a PSD quadratic objective over a box intersected with convex
-quadratic inequalities 1/2 y'Ay + b'y + c <= 0 (affine rows use A = 0).
+quadratic inequalities 1/2 y'A_k y + b_k'y + c_k <= 0 (affine rows use
+A_k = 0), handed over as the stacks A (m x d x d), b (m x d) and c (m).
 qcqp_solve tries cheap exits first: the unconstrained minimizer, the
 active set of a previous solution, and an active-set search that adds one
 violated row at a time.  On an active set with no curved row the KKT
@@ -19,7 +20,7 @@ object: on the free path a prox call is one matrix-vector product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +32,8 @@ class QcqpInfeasibleError(RuntimeError):
 @dataclass
 class ConvexQcqp:
     """min 1/2 y'Hy + q'y  s.t.  lo <= y <= hi,
-    1/2 y'A_k y + b_k'y + c_k <= 0 for every (A_k, b_k, c_k) in quads.
+    1/2 y'A[k]y + b[k]'y + c[k] <= 0 for every row k of the stacks
+    A (m x d x d), b (m x d) and c (m); leaving them out gives m = 0.
 
     All constraints, the box included, are stacked once, at construction,
     in the order of con_values: aff_B ((2d + m) x d) and aff_c hold their
@@ -51,7 +53,9 @@ class ConvexQcqp:
     q: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    quads: list = field(default_factory=list)
+    A: np.ndarray | None = None
+    b: np.ndarray | None = None
+    c: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
@@ -60,19 +64,24 @@ class ConvexQcqp:
         self.hi = np.asarray(self.hi, dtype=float)
         if np.any(self.hi - self.lo <= 0):
             raise ValueError("box must have nonempty interior")
-        d, m = self.dim, len(self.quads)
-        rows_b = np.array([b for _, b, _ in self.quads], dtype=float)
-        self.aff_B = np.concatenate([-np.eye(d), np.eye(d),
-                                     rows_b.reshape(m, d)])
-        self.aff_c = np.concatenate([
-            self.lo, -self.hi,
-            np.array([c for _, _, c in self.quads], dtype=float)])
-        curved = [k for k, (A, _, _) in enumerate(self.quads) if np.any(A)]
-        self.curved = 2 * d + np.array(curved, dtype=int)
+        d = self.dim
+        self.A = np.asarray(np.zeros((0, d, d)) if self.A is None else self.A,
+                            dtype=float)
+        self.b = np.asarray(np.zeros((0, d)) if self.b is None else self.b,
+                            dtype=float)
+        self.c = np.asarray(np.zeros(0) if self.c is None else self.c,
+                            dtype=float)
+        m = self.c.size
+        if (self.A.shape != (m, d, d) or self.b.shape != (m, d)
+                or self.c.shape != (m,)):
+            raise ValueError("row stacks need shapes (m, d, d), (m, d), (m,)")
+        self.aff_B = np.concatenate([-np.eye(d), np.eye(d), self.b])
+        self.aff_c = np.concatenate([self.lo, -self.hi, self.c])
+        curved = np.flatnonzero(self.A.any(axis=(1, 2)))
+        self.curved = 2 * d + curved
         self.is_curved = np.zeros(self.n_con, dtype=bool)
         self.is_curved[self.curved] = True
-        self.curved_A = np.array([self.quads[k][0] for k in curved],
-                                 dtype=float).reshape(len(curved), d, d)
+        self.curved_A = self.A[curved]
         self._prox = None
 
     @property
@@ -81,7 +90,7 @@ class ConvexQcqp:
 
     @property
     def n_con(self) -> int:
-        return 2 * self.dim + len(self.quads)
+        return self.aff_c.size
 
     def with_objective(self, H: np.ndarray, q: np.ndarray) -> ConvexQcqp:
         """The same constraint set under the objective 1/2 y'Hy + q'y,
@@ -422,9 +431,10 @@ def qcqp_solve(prob: ConvexQcqp, y0: np.ndarray | None = None,
     """Solve the QCQP.  Tries the unconstrained minimizer, the active set
     of a previous solution and the active-set search first, then follows
     the barrier path; the active-set polish usually ends it early at
-    machine precision, otherwise the path is driven to mu_final.  An H that cannot be factored, H = 0
-    among them, gives no unconstrained minimizer; such a problem goes to
-    the barrier unless a warm active set solves it."""
+    machine precision, otherwise the path is driven to mu_final.  An H
+    that cannot be factored, H = 0 among them, gives no unconstrained
+    minimizer; such a problem goes to the barrier unless a warm active
+    set solves it."""
     try:
         free = np.linalg.solve(prob.H, -prob.q)
     except np.linalg.LinAlgError:

@@ -21,7 +21,11 @@ call for the whole platoon: in plan_violation, for the one-step problems
 of a step and for each linearization, where every agent's rows read its
 own block and its own copy of its predecessor's.  The restricted rows of
 the warm start come from one evaluation for the whole platoon too, and
-each linearization evaluates every agent's cost share once.
+each linearization evaluates every agent's cost share once.  Rows reach
+the QCQP kernel as the stacked arrays they are built as, and the two
+exactly convex stages, the one-step horizon and the loss-free warm start,
+build their problems through one function that differs only in the
+losses it charges.
 """
 
 from __future__ import annotations
@@ -94,13 +98,24 @@ class SolverConfig:
     tolerances, which default to the per-p tables above, the round and
     outer-iteration caps, and the violation a returned plan may keep.
     The relaxation ALPHA, the steps RHO and RHO_METRIC, the NU table of
-    cost-majorant scalings and LIP_FACTOR are module constants."""
+    cost-majorant scalings and LIP_FACTOR are module constants.  A setting
+    that cannot work raises ValueError: a tolerance that is not finite and
+    positive, a cap below 1, or a negative or non-finite feas_tol."""
 
     tol_outer: float | None = None
     tol_inner: float | None = None
     max_outer: int = 60
     max_inner: int = 500
     feas_tol: float = 1e-6
+
+    def __post_init__(self) -> None:
+        tols = [t for t in (self.tol_outer, self.tol_inner) if t is not None]
+        if not all(np.isfinite(t) and t > 0.0 for t in tols):
+            raise ValueError("tol_outer and tol_inner must be finite and > 0")
+        if self.max_outer < 1 or self.max_inner < 1:
+            raise ValueError("max_outer and max_inner must be >= 1")
+        if not (np.isfinite(self.feas_tol) and self.feas_tol >= 0.0):
+            raise ValueError("feas_tol must be finite and >= 0")
 
     def outer_tol_for(self, p: int) -> float:
         return self.tol_outer if self.tol_outer is not None else OUTER_TOL[p]
@@ -511,20 +526,17 @@ def plan_violation(config: PlatoonConfig, state: PlatoonState,
                float(np.max(h)))
 
 
-def _embed(dim: int, sl: slice, vec: np.ndarray) -> np.ndarray:
-    out = np.zeros(dim)
-    out[sl] = vec
-    return out
-
-
 # ---------------------------------------------------------------------------
-# constraint rows of the one-step and restricted problems
+# constraint rows of the exactly convex problems
 #
 # Vehicle i's speed and safety rows involve only its own controls and its
-# predecessor's.  The builders return them over the (predecessor, own)
-# blocks, the own block alone for the first vehicle, whose predecessor is
-# the leader; _place writes them into an agent's local vector or into the
-# whole platoon's, so the split and the unsplit problems share the rows.
+# predecessor's.  The builders return the rows of every vehicle as stacks
+# along a leading vehicle axis, A (n, m, 2p, 2p), b (n, m, 2p) and c (n, m)
+# over its (predecessor, own) blocks of p steps each (p = 1 for the
+# one-step rows); the first vehicle's predecessor is the leader, whose
+# columns are not read.  _place writes one vehicle's stacks into an
+# agent's local vector or into the whole platoon's, so the split and the
+# unsplit problems share the rows, and the kernel takes them as stacks.
 
 def _losses(config: PlatoonConfig, state: PlatoonState) -> np.ndarray:
     """Drag and rolling losses of every vehicle at its measured speed."""
@@ -532,11 +544,12 @@ def _losses(config: PlatoonConfig, state: PlatoonState) -> np.ndarray:
 
 
 def _one_step_rows(config: PlatoonConfig, state: PlatoonState,
-                   struct: StructuralMatrices) -> list:
+                   struct: StructuralMatrices) -> tuple:
     """Speed band and safety row of every vehicle at the one-step horizon,
     which is exactly quadratic: drag is charged at the measured speed and
     the safety row is expanded around u = 0.  One evaluation of the
-    platoon's rows gives all of them; entry i - 1 holds vehicle i's."""
+    platoon's rows gives all of them, as (n, 3, 2, 2), (n, 3, 2) and
+    (n, 3) stacks."""
     tau, n, v = config.tau, config.n, state.v[1:]
     e = _losses(config, state)
     u_prev0 = np.zeros((n, 1))
@@ -553,55 +566,61 @@ def _one_step_rows(config: PlatoonConfig, state: PlatoonState,
     A[:, 2, 1, 1] = own_h[:, 0, 0, 0]
     c = np.stack([config.speed_min - v + tau * e,
                   v - tau * e - config.speed_max, h0[:, 0]], axis=1)
-    return [list(zip(A[i, :, -w:, -w:], b[i, :, -w:], c[i]))
-            for i, w in enumerate([1] + [2] * (n - 1))]
+    return A, b, c
 
 
 def _restricted_rows(config: PlatoonConfig, state: PlatoonState,
-                     struct: StructuralMatrices, p: int) -> list:
+                     struct: StructuralMatrices, p: int) -> tuple:
     """Inner convex restrictions of every vehicle's horizon rows, from one
-    evaluation of the platoon's restricted sets: the cumulative-control
-    corridor of its speed band, then the convex safety rows; entry i - 1
-    holds vehicle i's."""
+    evaluation of the platoon's restricted sets, as (n, 3p, 2p, 2p),
+    (n, 3p, 2p) and (n, 3p) stacks: the cumulative-control corridor of its
+    speed band, the low and the high row of each step in turn, then the
+    convex safety rows."""
     rs = restricted_convex_sets(config, state, p, struct)
-    out = []
-    for i, w in enumerate([p] + [2 * p] * (config.n - 1)):
-        rows = []
-        for j in range(p):
-            row = np.zeros(w)
-            row[-p:] = struct.S_p[j]
-            rows.append((np.zeros((w, w)), -row, float(rs.cum_lo[i, j])))
-            rows.append((np.zeros((w, w)), row, -float(rs.cum_hi[i, j])))
-        out.append(rows + [(A[-w:, -w:], b[-w:], float(c))
-                           for A, b, c in zip(rs.A[i], rs.b[i], rs.c[i])])
-    return out
+    n = config.n
+    A = np.zeros((n, 3 * p, 2 * p, 2 * p))
+    A[:, 2 * p:] = rs.A
+    b = np.zeros((n, 3 * p, 2 * p))
+    b[:, 0:2 * p:2, p:] = -struct.S_p
+    b[:, 1:2 * p:2, p:] = struct.S_p
+    b[:, 2 * p:] = rs.b
+    c = np.concatenate([np.stack([rs.cum_lo, -rs.cum_hi], axis=-1)
+                        .reshape(n, 2 * p), rs.c], axis=1)
+    return A, b, c
 
 
-def _place(rows: list, i: int, first: int, dim: int, p: int) -> list:
-    """Vehicle i's rows written into dim-vectors whose first block holds
-    vehicle `first` (1-based): an agent's local vector, or with first = 1
-    the whole platoon's."""
+def _place(rows: tuple, i: int, first: int, dim: int, p: int) -> tuple:
+    """Vehicle i's stacks of the platoon's rows written into dim-vectors
+    whose first block holds vehicle `first` (1-based): an agent's local
+    vector, or with first = 1 the whole platoon's."""
+    A, b, c = (r[i - 1] for r in rows)
+    w = p if i == 1 else 2 * p
     start = (max(i - 1, 1) - first) * p
-    out = []
-    for A, b, c in rows:
-        idx = slice(start, start + b.size)
-        Af = np.zeros((dim, dim))
-        Af[idx, idx] = A
-        bf = np.zeros(dim)
-        bf[idx] = b
-        out.append((Af, bf, c))
-    return out
+    idx = slice(start, start + w)
+    A_out = np.zeros((c.size, dim, dim))
+    A_out[:, idx, idx] = A[:, -w:, -w:]
+    b_out = np.zeros((c.size, dim))
+    b_out[:, idx] = b[:, -w:]
+    return A_out, b_out, c
+
+
+def _exact_problems(agents: list[AgentState], rows: tuple,
+                    e: np.ndarray) -> None:
+    """Build every agent's QCQP of an exactly convex stage from the
+    platoon's rows: its cost share with the losses e (n, p) charged, and
+    its vehicle's rows.  The one-step horizon charges the losses at the
+    measured speeds; the loss-free warm start charges none."""
+    sh = agents[0].shared
+    for a in agents:
+        q = np.zeros(a.dim)
+        q[a.sl(a.own_pos)] = sh.model.c_block(a.i)
+        q -= sh.objectives[a.i - 1].M @ e[a.span[0] - 1:a.span[1]].ravel()
+        a.problem = ConvexQcqp(sh.dec.W_hat[a.i - 1], q, a.lo, a.hi,
+                               *_place(rows, a.i, a.span[0], a.dim, a.p))
 
 
 # ---------------------------------------------------------------------------
 # warm start: loss-free cost over restricted convex sets
-
-def _linear_problem(a: AgentState, rows: list) -> ConvexQcqp:
-    sh = a.shared
-    q = _embed(a.dim, a.sl(a.own_pos), sh.model.c_block(a.i))
-    return ConvexQcqp(sh.dec.W_hat[a.i - 1], q, a.lo, a.hi,
-                      _place(rows, a.i, a.span[0], a.dim, a.p))
-
 
 def warm_start_linear(agents: list[AgentState],
                       options: SolverConfig | None = None,
@@ -612,10 +631,9 @@ def warm_start_linear(agents: list[AgentState],
     a tighter tolerance if the averaging left a violation behind.  The
     rounds of this call and its capped runs go to diag when given."""
     options = options or SolverConfig()
-    sh = agents[0].shared
-    rows = _restricted_rows(sh.config, sh.state, sh.struct, agents[0].p)
-    for a in agents:
-        a.problem = _linear_problem(a, rows[a.i - 1])
+    sh, p = agents[0].shared, agents[0].p
+    rows = _restricted_rows(sh.config, sh.state, sh.struct, p)
+    _exact_problems(agents, rows, np.zeros((sh.config.n, p)))
     st = _begin_stage(agents, None, seed="carry")
     rounds0 = st.layout.net.rounds
     tol = LIN_TOL
@@ -698,11 +716,10 @@ def scp_step(agents: list[AgentState],
         else:
             a.L_J = NU[p] * float(np.max(np.abs(np.linalg.eigvalsh(hj))))
             model = a.L_J * np.eye(a.dim)
-        eye = np.eye(a.dim)
         a.problem = ConvexQcqp(model, a.grad_J.copy(),
                                a.lo - u_loc, a.hi - u_loc,
-                               [(k * eye, b, c) for k, b, c in
-                                zip(a_curv, B[:, sl], a_const)])
+                               a_curv[:, None, None] * np.eye(a.dim),
+                               B[:, sl], a_const)
 
 
 def warm_start_inner(agents: list[AgentState],
@@ -756,24 +773,6 @@ class MpcResult:
     diagnostics: MpcDiagnostics
 
 
-def _p1_problems(agents: list[AgentState]) -> None:
-    """The one-step horizon is exactly quadratic: build every agent's
-    QCQP with drag charged at the measured speeds, on one evaluation of
-    the platoon's rows."""
-    sh = agents[0].shared
-    tau = sh.config.tau
-    e = _losses(sh.config, sh.state)
-    rows = _one_step_rows(sh.config, sh.state, sh.struct)
-    for a in agents:
-        w_hat = sh.dec.W_hat[a.i - 1]
-        m_hat = w_hat - tau * tau * sh.dec.Psi_hat[a.i - 1]
-        q = (_embed(a.dim, a.sl(a.own_pos), sh.model.c_block(a.i))
-             - m_hat @ e[a.span[0] - 1:a.span[1]])
-        a.problem = ConvexQcqp(w_hat, q, a.lo, a.hi,
-                               _place(rows[a.i - 1], a.i, a.span[0], a.dim,
-                                      1))
-
-
 def _outer_converged(p: int, step: float, scale: float, tol: float) -> bool:
     if step <= tol:
         return True
@@ -806,7 +805,8 @@ def solve_mpc(agents: list[AgentState],
         a.prox_calls = 0
 
     if p == 1:
-        _p1_problems(agents)
+        rows = _one_step_rows(sh.config, sh.state, sh.struct)
+        _exact_problems(agents, rows, _losses(sh.config, sh.state)[:, None])
         _begin_stage(agents, None, seed="carry")
         tol = options.outer_tol_for(1)
         resid = np.inf
@@ -880,9 +880,9 @@ def solve_mpc(agents: list[AgentState],
                 break
             diag.guard_rounds += 1
             tol_inner /= 10.0
-            _, conv = _run_rounds(agents, tol_inner, options.max_inner)
+            trace, conv = _run_rounds(agents, tol_inner, options.max_inner)
             diag.capped_runs += not conv
-            st.u_hat = _collect_plan(st).ravel()[st.layout.scatter]
+            diag.inner_residual = trace[-1]
             plan = _collect_prox_plan(st)
             viol = plan_violation(sh.config, sh.state, plan, sh.struct)
 
@@ -911,13 +911,12 @@ def solve_centralized_p1(config: PlatoonConfig, weights: WeightSchedule,
     model = assemble_quadratic_model(config, weights, state=state)
     n = config.n
     struct = build_structural(n, 1)
-    e = _losses(config, state)
-    quads = [row for i, rows in enumerate(
-        _one_step_rows(config, state, struct), start=1)
-        for row in _place(rows, i, 1, n, 1)]
-    prob = ConvexQcqp(model.W, model.c - model.V @ e,
+    rows = _one_step_rows(config, state, struct)
+    placed = [_place(rows, i, 1, n, 1) for i in range(1, n + 1)]
+    prob = ConvexQcqp(model.W, model.c - model.V @ _losses(config, state),
                       config.accel_min.astype(float),
-                      config.accel_max.astype(float), quads)
+                      config.accel_max.astype(float),
+                      *map(np.concatenate, zip(*placed)))
     return qcqp_solve(prob, mu_final=1e-12).y
 
 
@@ -928,10 +927,10 @@ def solve_centralized_linear(config: PlatoonConfig, weights: WeightSchedule,
     model = assemble_quadratic_model(config, weights, state=state)
     n, p = config.n, weights.p
     struct = build_structural(n, p)
-    quads = [row for i, rows in enumerate(
-        _restricted_rows(config, state, struct, p), start=1)
-        for row in _place(rows, i, 1, n * p, p)]
+    rows = _restricted_rows(config, state, struct, p)
+    placed = [_place(rows, i, 1, n * p, p) for i in range(1, n + 1)]
     prob = ConvexQcqp(model.W, model.c,
                       np.repeat(config.accel_min.astype(float), p),
-                      np.repeat(config.accel_max.astype(float), p), quads)
+                      np.repeat(config.accel_max.astype(float), p),
+                      *map(np.concatenate, zip(*placed)))
     return qcqp_solve(prob).y.reshape(n, p)

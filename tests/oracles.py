@@ -334,6 +334,73 @@ def scp_rows_by_agent(a, u_loc, lip_factor):
     return lower + upper + safety
 
 
+def stack_rows(rows, d):
+    """The A (m, d, d), b (m, d) and c (m,) stacks of a list of m rows
+    (A_k, b_k, c_k) in d variables."""
+    return (np.array([A for A, _, _ in rows], dtype=float).reshape(-1, d, d),
+            np.array([b for _, b, _ in rows], dtype=float).reshape(-1, d),
+            np.array([c for _, _, c in rows], dtype=float))
+
+
+def rows_by_vehicle(A, b, c, p):
+    """Per-vehicle lists of (A_k, b_k, c_k) rows from the platoon stacks
+    of a row builder, over the (predecessor, own) blocks and the own
+    block alone for the first vehicle: the tuple format the one-step rows
+    were handed over in."""
+    return [list(zip(A[i, :, -w:, -w:], b[i, :, -w:], c[i]))
+            for i, w in enumerate([p] + [2 * p] * (len(c) - 1))]
+
+
+def restricted_rows_by_loop(config, state, struct, p):
+    """Per-vehicle lists of restricted rows, built one row at a time from
+    the platoon's restricted sets: the corridor's low and high row of each
+    step, then the convex safety rows."""
+    from platoon_mpc.assembly import restricted_convex_sets
+
+    rs = restricted_convex_sets(config, state, p, struct)
+    out = []
+    for i, w in enumerate([p] + [2 * p] * (config.n - 1)):
+        rows = []
+        for j in range(p):
+            row = np.zeros(w)
+            row[-p:] = struct.S_p[j]
+            rows.append((np.zeros((w, w)), -row, float(rs.cum_lo[i, j])))
+            rows.append((np.zeros((w, w)), row, -float(rs.cum_hi[i, j])))
+        out.append(rows + [(A[-w:, -w:], b[-w:], float(c))
+                           for A, b, c in zip(rs.A[i], rs.b[i], rs.c[i])])
+    return out
+
+
+def kernel_stacks_by_list(quads, lo, hi):
+    """aff_B, aff_c, curved and curved_A of a problem over the box
+    [lo, hi] and the list of rows quads, gathered row by row with list
+    comprehensions."""
+    d, m = lo.size, len(quads)
+    rows_b = np.array([b for _, b, _ in quads], dtype=float)
+    aff_B = np.concatenate([-np.eye(d), np.eye(d), rows_b.reshape(m, d)])
+    aff_c = np.concatenate([lo, -hi, np.array([c for _, _, c in quads],
+                                               dtype=float)])
+    curved = [k for k, (A, _, _) in enumerate(quads) if np.any(A)]
+    curved_A = np.array([quads[k][0] for k in curved],
+                        dtype=float).reshape(len(curved), d, d)
+    return aff_B, aff_c, 2 * d + np.array(curved, dtype=int), curved_A
+
+
+def place_rows(rows, i, first, dim, p):
+    """Vehicle i's rows written one at a time into fresh dim-vectors whose
+    first block holds vehicle `first` (1-based)."""
+    start = (max(i - 1, 1) - first) * p
+    out = []
+    for A, b, c in rows:
+        idx = slice(start, start + b.size)
+        Af = np.zeros((dim, dim))
+        Af[idx, idx] = A
+        bf = np.zeros(dim)
+        bf[idx] = b
+        out.append((Af, bf, c))
+    return out
+
+
 def w_star_reference(config, weights, z, zp, v0, u0):
     """One-stage optimum of the unconstrained cost in relative-control
     coordinates, from the closed-form normal equations."""

@@ -80,6 +80,16 @@ def test_cli_run_prints_summary():
     assert summary["all_steps_feasible"] is True
 
 
+@pytest.mark.parametrize("flag", ["--tol-outer=nan", "--tol-outer=-1",
+                                  "--tol-inner=inf"])
+def test_cli_run_rejects_tolerances_that_cannot_work(flag):
+    runner = CliRunner()
+    res = runner.invoke(main, ["run", "--platoon", "small", "--scenario", "1",
+                               "--horizon", "2", "--steps", "2", flag])
+    assert res.exit_code != 0
+    assert "must be finite and > 0" in res.output
+
+
 def test_cli_compare_centralized_lines():
     runner = CliRunner()
     res = runner.invoke(main, ["compare-centralized", "--scenario", "cruise",

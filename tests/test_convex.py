@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import box_qp_brute, kkt_newton_loop, prox_by_solve
+from oracles import box_qp_brute, kkt_newton_loop, prox_by_solve, stack_rows
 from platoon_mpc.convex import (
     ConvexQcqp, QcqpInfeasibleError, QcqpResult, _active_set_solve,
     _finish_active, _kkt_newton, _solve_from, box_prox, kkt_residual,
@@ -36,7 +36,7 @@ def random_feasible_qcqp(rng, d, n_ball=2, n_aff=2):
         b = rng.normal(size=d)
         slack = rng.uniform(0.5, 3.0)
         quads.append((np.zeros((d, d)), b, float(-b @ center - slack)))
-    return ConvexQcqp(H, q, lo, hi, quads), center
+    return ConvexQcqp(H, q, lo, hi, *stack_rows(quads, d)), center
 
 
 def sample_feasible(prob, rng, count=400):
@@ -83,7 +83,7 @@ def test_ball_projection_frozen():
     multiplier 0.75."""
     prob = ConvexQcqp(np.eye(2), np.array([-3.0, -4.0]),
                       np.array([-10.0, -10.0]), np.array([10.0, 10.0]),
-                      [(2.0 * np.eye(2), np.zeros(2), -4.0)])
+                      *stack_rows([(2.0 * np.eye(2), np.zeros(2), -4.0)], 2))
     res = qcqp_solve(prob)
     assert np.max(np.abs(res.y - np.array([1.2, 1.6]))) <= 1e-9
     assert res.lam[-1] == pytest.approx(0.75, abs=1e-8)
@@ -94,7 +94,8 @@ def test_free_shortcut():
     H = np.diag([2.0, 4.0])
     q = np.array([-1.0, -2.0])
     prob = ConvexQcqp(H, q, np.array([-5.0, -5.0]), np.array([5.0, 5.0]),
-                      [(np.zeros((2, 2)), np.array([1.0, 1.0]), -50.0)])
+                      *stack_rows([(np.zeros((2, 2)), np.array([1.0, 1.0]),
+                                    -50.0)], 2))
     res = qcqp_solve(prob)
     assert res.status == "free"
     assert np.allclose(res.y, [0.5, 0.5], atol=1e-12)
@@ -117,7 +118,7 @@ def test_zero_hessian_reaches_the_barrier(rng):
     for _ in range(6):
         prob, _ = random_feasible_qcqp(rng, 3, n_ball=1, n_aff=1)
         prob = ConvexQcqp(np.zeros((3, 3)), prob.q, prob.lo, prob.hi,
-                          prob.quads)
+                          prob.A, prob.b, prob.c)
         res = qcqp_solve(prob)
         assert kkt_residual(prob, res.y, res.lam) <= 1e-9
         assert np.all(prob.con_values(res.y) <= 1e-9)
@@ -139,7 +140,7 @@ def test_prox_kkt_and_nonexpansive(rng):
         res = qcqp_prox(prob, anchor, rho)
         shifted = ConvexQcqp(prob.H + np.eye(3) / rho,
                              prob.q - anchor / rho, prob.lo, prob.hi,
-                             prob.quads)
+                             prob.A, prob.b, prob.c)
         assert kkt_residual(shifted, res.y, res.lam) <= 1e-9
         shifted_pairs.append((anchor, res.y))
     for (a1, y1), (a2, y2) in zip(shifted_pairs[:-1], shifted_pairs[1:]):
@@ -155,7 +156,7 @@ def test_prox_of_interior_point_with_large_rho(rng):
 def test_infeasible_detection():
     prob = ConvexQcqp(np.eye(2), np.zeros(2), np.array([-1.0, -1.0]),
                       np.array([1.0, 1.0]),
-                      [(2.0 * np.eye(2), np.zeros(2), 1.0)])
+                      *stack_rows([(2.0 * np.eye(2), np.zeros(2), 1.0)], 2))
     with pytest.raises(QcqpInfeasibleError):
         qcqp_solve(prob)
 
@@ -165,6 +166,31 @@ def test_tiny_box_interior_requirement():
         ConvexQcqp(np.eye(1), np.zeros(1), np.array([1.0]),
                    np.array([1.0]))
 
+
+
+def test_row_stacks_must_agree():
+    d = 2
+    A, b, c = np.zeros((3, d, d)), np.zeros((3, d)), np.zeros(3)
+    ConvexQcqp(np.eye(d), np.zeros(d), np.full(d, -1.0), np.full(d, 1.0),
+               A, b, c)
+    for rows in [(A[:2], b, c), (A, b[:2], c), (A, b, c[:2]),
+                 (A[:, :1], b, c), (A, b[:, :1], c), (A, b, c[:, None]),
+                 (A, b, 0.0), (A, None, None), (None, None, c)]:
+        with pytest.raises(ValueError):
+            ConvexQcqp(np.eye(d), np.zeros(d), np.full(d, -1.0),
+                       np.full(d, 1.0), *rows)
+
+
+def test_problem_without_rows_has_only_the_box(rng):
+    d = 3
+    prob = ConvexQcqp(random_pd(rng, d), rng.normal(0.0, 5.0, d),
+                      np.full(d, -1.0), np.full(d, 1.0))
+    assert prob.n_con == 2 * d
+    assert prob.A.shape == (0, d, d) and prob.b.shape == (0, d)
+    assert prob.c.shape == (0,) and prob.curved.size == 0
+    res = qcqp_solve(prob)
+    want, _ = box_qp_brute(prob.H, prob.q, prob.lo, prob.hi)
+    assert np.max(np.abs(res.y - want)) <= 1e-8
 
 
 def mixed_rows(rng, d, kinds, center):
@@ -193,7 +219,8 @@ def test_stacked_rows_match_per_row_formulas(seed, d, kinds):
     center = rng.uniform(-0.5, 0.5, d)
     quads = mixed_rows(rng, d, kinds, center)
     prob = ConvexQcqp(random_pd(rng, d), rng.normal(0.0, 3.0, d),
-                      np.full(d, -3.0), np.full(d, 3.0), quads)
+                      np.full(d, -3.0), np.full(d, 3.0),
+                      *stack_rows(quads, d))
     y = rng.uniform(-2.0, 2.0, d)
 
     def close(got, want):
@@ -215,7 +242,8 @@ def test_stacked_rows_match_per_row_formulas(seed, d, kinds):
     assert close(prob.add_row_hessians(base.copy(), weights), want)
 
     # the prox problem shares the rows and leaves them as they were
-    stacks = ("H", "q", "lo", "hi", "aff_B", "aff_c", "curved", "curved_A")
+    stacks = ("H", "q", "lo", "hi", "A", "b", "c", "aff_B", "aff_c",
+              "curved", "curved_A")
     before = {name: getattr(prob, name).copy() for name in stacks}
     rho = float(rng.uniform(0.05, 2.0))
     anchor = rng.normal(size=d)
@@ -224,7 +252,6 @@ def test_stacked_rows_match_per_row_formulas(seed, d, kinds):
     shifted = prob.with_objective(hess, prob.q - anchor / rho)
     for name in stacks[2:]:
         assert getattr(shifted, name) is getattr(prob, name)
-    assert shifted.quads is prob.quads
     res = qcqp_prox(prob, anchor, rho)
     assert kkt_residual(shifted, res.y, res.lam) <= 1e-8
     for name in stacks:
@@ -249,10 +276,11 @@ def test_new_problem_never_reuses_a_prox_hessian(rng):
     for _ in range(20):
         H = rng.uniform(0.2, 5.0) * random_pd(rng, d)
         q = rng.normal(size=d)
-        prob = ConvexQcqp(H, q, lo, hi, quads)
+        prob = ConvexQcqp(H, q, lo, hi, *stack_rows(quads, d))
         got = qcqp_prox(prob, anchor, rho)
         want = qcqp_solve(ConvexQcqp(H + np.eye(d) / rho, q - anchor / rho,
-                                     lo, hi, quads), y0=anchor)
+                                     lo, hi, *stack_rows(quads, d)),
+                          y0=anchor)
         assert np.max(np.abs(got.y - want.y)) <= 1e-9
         assert np.array_equal(prob.prox_map(rho)[0], H + np.eye(d) / rho)
         del prob
@@ -263,7 +291,7 @@ def shifted_problem(prob, anchor, rho, metric=None):
     """The prox problem of prob at anchor, built explicitly."""
     curv = np.eye(prob.dim) / rho if metric is None else metric / rho
     return ConvexQcqp(prob.H + curv, prob.q - curv @ anchor, prob.lo,
-                      prob.hi, prob.quads)
+                      prob.hi, prob.A, prob.b, prob.c)
 
 
 def test_prox_matches_the_shifted_solve(rng):
@@ -333,7 +361,7 @@ def test_prox_map_is_rebuilt_per_key(rng):
     assert np.array_equal(derived.prox_map(0.1)[2],
                           np.linalg.inv(hess) @ prob.q)
     other = ConvexQcqp(prob.H + np.eye(d), prob.q, prob.lo, prob.hi,
-                       prob.quads)
+                       prob.A, prob.b, prob.c)
     assert np.array_equal(other.prox_map(0.1)[0],
                           prob.H + np.eye(d) + np.eye(d) / 0.1)
 
@@ -384,7 +412,8 @@ def cold_step_problem(q, lo, speed_c, safety, H=COLD_H):
     quads = [(np.zeros((3, 3)), -own, speed_c[0]),
              (np.zeros((3, 3)), own, speed_c[1]),
              (np.diag([0.0, curv, 0.0]), np.array([-0.5, lin, 0.0]), const)]
-    return ConvexQcqp(H, np.array(q), np.array(lo), np.full(3, 1.4), quads)
+    return ConvexQcqp(H, np.array(q), np.array(lo), np.full(3, 1.4),
+                      *stack_rows(quads, 3))
 
 
 def test_warm_polish_keeps_a_cold_step_active_set():
@@ -461,8 +490,8 @@ def test_search_skips_a_row_parallel_to_an_active_one(coupling):
     zero = np.zeros((2, 2))
     prob = ConvexQcqp(H, -H @ np.array([5.0, 0.3]), np.full(2, -10.0),
                       np.full(2, 10.0),
-                      [(zero, np.array([2.7, 0.0]), -5.4),
-                       (zero, np.array([0.9, 0.0]), -0.9)])
+                      *stack_rows([(zero, np.array([2.7, 0.0]), -5.4),
+                                   (zero, np.array([0.9, 0.0]), -0.9)], 2))
     res = _active_set_solve(prob, np.array([5.0, 0.3]))
     assert res is not None and res.status == "active"
     assert np.flatnonzero(res.lam).tolist() == [5]
@@ -492,7 +521,7 @@ def mixed_prox_problem(rng, d):
     return ConvexQcqp(random_pd(rng, d) + np.eye(d) / rho,
                       rng.normal(0.0, 3.0, d) - anchor / rho,
                       rng.uniform(-3.0, -1.0, d), rng.uniform(1.0, 3.0, d),
-                      quads)
+                      *stack_rows(quads, d))
 
 
 def test_affine_kkt_solve_matches_the_newton_loop():

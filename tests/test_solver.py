@@ -10,9 +10,11 @@ import pytest
 
 from conftest import cruise_state
 from oracles import (consensus_gap_by_copies, horizon_minimizer,
-                     p1_rows_by_agent, plan_violation_by_vehicle,
-                     projection_by_lstsq, prox_by_solve, scp_rows_by_agent,
-                     stationarity_by_agent, w_star_reference)
+                     kernel_stacks_by_list, p1_rows_by_agent, place_rows,
+                     plan_violation_by_vehicle, projection_by_lstsq,
+                     prox_by_solve, restricted_rows_by_loop, rows_by_vehicle,
+                     scp_rows_by_agent, stack_rows, stationarity_by_agent,
+                     w_star_reference)
 from platoon_mpc import loop, solver
 from platoon_mpc.assembly import (HorizonRows, assemble_quadratic_model,
                                   build_structural)
@@ -24,8 +26,9 @@ from platoon_mpc.presets import platoon_preset, weight_preset
 from platoon_mpc.solver import (
     INNER_TOL, LIP_FACTOR, NU, OUTER_TOL, LocalExchange, LocalityError,
     MpcDiagnostics, SolverConfig, WarmStartError, _average, _begin_stage,
-    _block_metric, _consensus_gap, _p1_problems, _run_rounds, _splitting,
-    _stationarity, dr_round, formulate_local, plan_violation, scp_step,
+    _block_metric, _consensus_gap, _exact_problems, _losses, _one_step_rows,
+    _place, _restricted_rows, _run_rounds, _splitting, _stationarity,
+    dr_round, formulate_local, plan_violation, scp_step,
     solve_centralized_linear, solve_centralized_p1, solve_mpc,
     warm_start_linear,
 )
@@ -53,6 +56,18 @@ def quad_value(quad, y):
     return 0.5 * y @ (A @ y) + b @ y + c
 
 
+def row_of(prob, k):
+    """Row k of a problem's stacks as (A, b, c)."""
+    return prob.A[k], prob.b[k], prob.c[k]
+
+
+def p1_problems(agents):
+    """Every agent's one-step problem, as solve_mpc builds it."""
+    sh = agents[0].shared
+    _exact_problems(agents, _one_step_rows(sh.config, sh.state, sh.struct),
+                    _losses(sh.config, sh.state)[:, None])
+
+
 def test_config_validation():
     opts = SolverConfig()
     assert opts.outer_tol_for(1) == 1e-5
@@ -63,6 +78,20 @@ def test_config_validation():
     assert SolverConfig(tol_outer=1e-6).outer_tol_for(3) == 1e-6
     assert set(OUTER_TOL) == {1, 2, 3, 4, 5}
     assert set(INNER_TOL) == set(NU) == {2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol_outer": float("nan")}, {"tol_outer": -1.0}, {"tol_outer": 0.0},
+    {"tol_outer": float("inf")}, {"tol_inner": float("nan")},
+    {"tol_inner": -5e-3}, {"max_outer": 0}, {"max_inner": 0},
+    {"feas_tol": -1e-6}, {"feas_tol": float("nan")},
+    {"feas_tol": float("inf")}])
+def test_config_rejects_settings_that_cannot_work(bad):
+    # a nan or negative tolerance never stops a run: every step would run
+    # to the outer cap and still report feasible
+    with pytest.raises(ValueError):
+        SolverConfig(**bad)
+    SolverConfig(feas_tol=0.0, max_outer=1, max_inner=1, tol_inner=1e-12)
 
 
 def test_exchange_rejects_distant_pairs():
@@ -531,6 +560,34 @@ def test_reported_violation_after_guard_retries(large, monkeypatch):
     assert res.diagnostics.violation == viol
 
 
+def test_guard_retries_report_their_residual(large, monkeypatch):
+    # the same hard-braking case: after the guard's retries the reported
+    # inner residual is the last round's of the last retry, the run that
+    # produced the returned plan
+    u0 = np.zeros(4)
+    u0[2:4] = -6.0
+    run_rounds, solve = solver._run_rounds, loop.solve_mpc
+    traces, seen = [], []
+
+    def rounds(*args, **kwargs):
+        out = run_rounds(*args, **kwargs)
+        traces.append(out[0])
+        return out
+
+    def step(agents, options=None, state=None):
+        res = solve(agents, options, state=state)
+        seen.append((res, traces[-1]))
+        return res
+
+    monkeypatch.setattr(solver, "_run_rounds", rounds)
+    monkeypatch.setattr(loop, "solve_mpc", step)
+    with pytest.raises(loop.SimulationError):
+        simulate(large, weight_preset("large", 5), Scenario("brake", u0))
+    res, trace = seen[-1]
+    assert res.diagnostics.guard_rounds > 0
+    assert res.diagnostics.inner_residual == trace[-1]
+
+
 def test_capped_runs_are_counted(small):
     # a run cut at max_inner counts max_inner rounds, the first round of a
     # stage included, although that round has no residual to record
@@ -574,7 +631,7 @@ def test_decoupled_consensus_reaches_box_solution(small):
         sl = a.sl(a.own_pos)
         H[sl, sl] = c * np.eye(p)
         q[sl] = g
-        a.problem = ConvexQcqp(H, q, a.lo, a.hi, [])
+        a.problem = ConvexQcqp(H, q, a.lo, a.hi)
     _begin_stage(agents, None)
     trace, conv = _run_rounds(agents, 1e-10, 400)
     assert conv
@@ -662,7 +719,7 @@ def test_majorant_rows_dominate_sampled(small, rng, monkeypatch):
     z = st.spacing_error(small.gap)
     zp = st.rel_speed()
     for a, sl in zip(agents, split.layout.slices):
-        assert len(a.problem.quads) == 3 * p
+        assert len(a.problem.c) == 3 * p
         par = small.vehicles[a.i - 1]
         prev = small.leader if a.i == 1 else small.vehicles[a.i - 2]
         v, v_prev = st.v[a.i], st.v[a.i - 1]
@@ -685,11 +742,12 @@ def test_majorant_rows_dominate_sampled(small, rng, monkeypatch):
                 # majorant is global; safety curvature drifts with the
                 # iterate, hence the looser slack
                 assert (small.speed_min - q_t[j]
-                        <= quad_value(a.problem.quads[j], d) + 1e-9)
+                        <= quad_value(row_of(a.problem, j), d) + 1e-9)
                 assert (q_t[j] - small.speed_max
-                        <= quad_value(a.problem.quads[p + j], d) + 1e-9)
+                        <= quad_value(row_of(a.problem, p + j), d) + 1e-9)
                 assert (h_t[j]
-                        <= quad_value(a.problem.quads[2 * p + j], d) + 1e-4)
+                        <= quad_value(row_of(a.problem, 2 * p + j), d)
+                        + 1e-4)
 
 
 def test_plan_violation_flags_bad_plans(small):
@@ -735,9 +793,11 @@ def test_plan_violation_matches_the_per_vehicle_loop(name):
     assert infeasible >= 50
 
 
-def assert_same_rows(got, want):
-    assert len(got) == len(want)
-    for (A, b, c), (A_ref, b_ref, c_ref) in zip(got, want):
+def assert_same_rows(prob, want):
+    # the problem's stacks, row by row, against a list of (A, b, c) rows
+    assert len(prob.c) == len(want)
+    for (A, b, c), (A_ref, b_ref, c_ref) in zip(
+            zip(prob.A, prob.b, prob.c), want):
         scale = 1.0 + max(np.max(np.abs(A_ref)), np.max(np.abs(b_ref)),
                           abs(c_ref))
         assert np.max(np.abs(A - A_ref)) <= 1e-12 * scale
@@ -753,9 +813,9 @@ def test_p1_rows_match_a_per_agent_rebuild(name, u0, rng):
     st = random_feasible_state(cfg, rng)
     st.u0 = u0
     agents = formulate_local(cfg, weight_preset(name, 1), st)
-    _p1_problems(agents)
+    p1_problems(agents)
     for a in agents:
-        assert_same_rows(a.problem.quads, p1_rows_by_agent(a))
+        assert_same_rows(a.problem, p1_rows_by_agent(a))
 
 
 @pytest.mark.parametrize("name, p", [("small", 2), ("medium", 3),
@@ -773,8 +833,67 @@ def test_scp_rows_match_a_per_agent_rebuild(name, p, copies, rng):
                    else rng.uniform(-0.5, 0.5, split.u_hat.size))
     scp_step(agents, SolverConfig())
     for a, sl in zip(agents, split.layout.slices):
-        assert_same_rows(a.problem.quads,
+        assert_same_rows(a.problem,
                          scp_rows_by_agent(a, split.u_hat[sl], LIP_FACTOR))
+
+
+def assert_same_stacks(prob, rows):
+    # bit for bit: the problem's row stacks against the stacked list of
+    # reference rows, and its kernel stacks against the ones gathered row
+    # by row from that list
+    for got, want in zip((prob.A, prob.b, prob.c),
+                         stack_rows(rows, prob.dim)):
+        assert np.array_equal(got, want)
+    for got, want in zip((prob.aff_B, prob.aff_c, prob.curved,
+                          prob.curved_A),
+                         kernel_stacks_by_list(rows, prob.lo, prob.hi)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["small", "medium", "large"])
+def test_row_stacks_match_the_per_row_placement(name):
+    # the one-step rows (p = 1) and the restricted rows (p = 1..5) of
+    # every agent and of the whole platoon against the same rows written
+    # one at a time into fresh vectors, and the linearization's majorant
+    # rows (p = 2..5) against the per-row curvature times identity
+    cfg = platoon_preset(name)
+    n = cfg.n
+    rng = np.random.default_rng(["small", "medium", "large"].index(name))
+    for p in range(1, 6):
+        st = random_feasible_state(cfg, rng)
+        st.u0 = float(rng.uniform(-1.0, 0.5))
+        agents = formulate_local(cfg, weight_preset(name, p), st)
+        sh = agents[0].shared
+        kinds = [(_restricted_rows(cfg, st, sh.struct, p),
+                  restricted_rows_by_loop(cfg, st, sh.struct, p),
+                  np.zeros((n, p)))]
+        if p == 1:
+            rows = _one_step_rows(cfg, st, sh.struct)
+            kinds.append((rows, rows_by_vehicle(*rows, 1),
+                          _losses(cfg, st)[:, None]))
+        for rows, ref, e in kinds:
+            _exact_problems(agents, rows, e)
+            for a in agents:
+                assert_same_stacks(a.problem, place_rows(
+                    ref[a.i - 1], a.i, a.span[0], a.dim, p))
+            placed = [_place(rows, i, 1, n * p, p) for i in range(1, n + 1)]
+            whole = ConvexQcqp(sh.model.W, sh.model.c,
+                               np.repeat(cfg.accel_min.astype(float), p),
+                               np.repeat(cfg.accel_max.astype(float), p),
+                               *map(np.concatenate, zip(*placed)))
+            assert_same_stacks(whole, [
+                row for i in range(1, n + 1)
+                for row in place_rows(ref[i - 1], i, 1, n * p, p)])
+        if p == 1:
+            continue
+        split = _splitting(agents)
+        split.u_hat = rng.uniform(-0.5, 0.5, split.u_hat.size)
+        scp_step(agents, SolverConfig())
+        for a in agents:
+            prob = a.problem
+            assert_same_stacks(prob, [
+                (k * np.eye(a.dim), b, c)
+                for k, b, c in zip(prob.A[:, 0, 0], prob.b, prob.c)])
 
 
 # the p = 5 `medium` state 1 of default_rng([11, 5]) (random_feasible_state,
