@@ -15,18 +15,37 @@ KKT conditions.  The prox operator at the bottom is the building block of
 the operator-splitting rounds in the solver module.
 Its unconstrained point is affine in the anchor, so each problem keeps a
 prox map (ConvexQcqp.prox_map) built once per step size rho and metric
-object: on the free path a prox call is one matrix-vector product.
+object: on the free path a prox call is one matrix-vector product.  The
+prox problems of one map share their Hessian and rows and differ only in
+q, so the KKT matrix [H B'; B 0] of an affine active set, and the rank of
+B, are fixed for the map: both are built on the set's first use and kept
+in the map's cache, and a later solve on the set is one LU solve.  The
+matrix is solved, not inverted, so every answer is the one a fresh solve
+gives, to the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
 class QcqpInfeasibleError(RuntimeError):
     """Raised when the phase-I search cannot find a strictly feasible point."""
+
+
+class ProxMap(NamedTuple):
+    """The prox problems of one (rho, metric): their Hessian hess, the
+    gain and offset of their unconstrained point, and kkt_cache, which
+    maps an affine active set (its sorted row indices, as bytes) to the
+    rank of its rows and its KKT matrix (None once found singular)."""
+
+    hess: np.ndarray
+    gain: np.ndarray
+    offset: np.ndarray
+    kkt_cache: dict
 
 
 @dataclass
@@ -44,10 +63,13 @@ class ConvexQcqp:
     after construction; with_objective derives problems that share its
     stacks.
 
-    prox_map(rho, metric) is memoized on the problem, keyed on the value
-    of rho and the identity of the metric array: a splitting stage, which
-    holds both fixed, builds it once.  A derived problem starts with no
-    map."""
+    kkt_cache holds, per affine active set the solver has tried, the rank
+    of its rows and its KKT matrix, both fixed by H and the rows; it
+    starts empty.  prox_map(rho, metric) is memoized on the problem,
+    keyed on the value of rho and the identity of the metric array: a
+    splitting stage, which holds both fixed, builds it once.  The map
+    carries the cache its prox problems share, empty when the map is
+    built.  A derived problem starts with no map and an empty cache."""
 
     H: np.ndarray
     q: np.ndarray
@@ -82,6 +104,7 @@ class ConvexQcqp:
         self.is_curved = np.zeros(self.n_con, dtype=bool)
         self.is_curved[self.curved] = True
         self.curved_A = self.A[curved]
+        self.kkt_cache = {}
         self._prox = None
 
     @property
@@ -97,26 +120,31 @@ class ConvexQcqp:
         sharing this problem's row stacks."""
         out = object.__new__(ConvexQcqp)
         out.__dict__.update(self.__dict__)
-        out.H, out.q, out._prox = H, q, None
+        out.H, out.q, out.kkt_cache, out._prox = H, q, {}, None
         return out
 
-    def prox_map(self, rho: float, metric: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(hess, gain, offset) of the prox problem with the curvature
-        C = metric/rho (I/rho when metric is None): hess = H + C, and its
+    def prox_map(self, rho: float,
+                 metric: np.ndarray | None = None) -> ProxMap:
+        """The ProxMap of the prox problems with the curvature
+        C = metric/rho (I/rho when metric is None): hess = H + C, and the
         unconstrained minimizer for an anchor a is gain @ a + offset, with
         gain = hess^-1 C and offset = -hess^-1 q.  Computed on the first
-        call and kept for the later calls with the same rho and metric
-        object.  An explicit inverse, since numpy has no triangular solve
-        to reuse a Cholesky factor with, and d is small."""
+        call, with an empty cache, and kept for the later calls with the
+        same rho and metric object.  An explicit inverse, since numpy has
+        no triangular solve to reuse a Cholesky factor with, and d is
+        small.  rho must be finite and positive; a NaN never matches the
+        memo, so every call with one is checked."""
         memo = self._prox
         if memo is None or memo[0] != rho or memo[1] is not metric:
+            if not 0.0 < rho < np.inf:
+                raise ValueError(
+                    f"prox step rho must be finite and > 0, got {rho}")
             curv = np.eye(self.dim) / rho if metric is None else metric / rho
             hess = self.H + curv
             inv = np.linalg.inv(hess)
-            memo = self._prox = (rho, metric, hess, inv @ curv,
-                                 -(inv @ self.q))
-        return memo[2:]
+            memo = self._prox = (rho, metric, ProxMap(
+                hess, inv @ curv, -(inv @ self.q), {}))
+        return memo[2]
 
     def value(self, y: np.ndarray) -> float:
         return float(0.5 * y @ (self.H @ y) + self.q @ y)
@@ -152,17 +180,22 @@ class QcqpResult:
     status: str
 
 
-def kkt_residual(prob: ConvexQcqp, y: np.ndarray,
-                 lam: np.ndarray) -> float:
+def kkt_residual(prob: ConvexQcqp, y: np.ndarray, lam: np.ndarray,
+                 g: np.ndarray | None = None) -> float:
     """Largest violation among stationarity, primal and dual feasibility
-    and complementary slackness."""
-    g = prob.con_values(y)
-    grads = prob.con_grads(y)
+    and complementary slackness; inf at a point or multiplier that is not
+    finite.  g, when given, is prob.con_values(y).  With no multiplier on
+    a curved row the row gradients reduce to aff_B in the stationarity
+    sum: the curved terms are multiplied by exact zeros."""
+    if not (np.isfinite(y).all() and np.isfinite(lam).all()):
+        return np.inf
+    if g is None:
+        g = prob.con_values(y)
+    grads = prob.con_grads(y) if lam[prob.curved].any() else prob.aff_B
     stat = prob.H @ y + prob.q + grads.T @ lam
-    return max(float(np.max(np.abs(stat))),
-               float(np.max(g, initial=0.0)),
-               float(np.max(-lam, initial=0.0)),
-               float(np.max(np.abs(lam * g), initial=0.0)))
+    return max(float(np.abs(stat).max()), float(g.max(initial=0.0)),
+               float((-lam).max(initial=0.0)),
+               float(np.abs(lam * g).max(initial=0.0)))
 
 
 def _newton_barrier(prob: ConvexQcqp, y: np.ndarray, t: float,
@@ -285,6 +318,24 @@ def _phase_done(prob: ConvexQcqp, y: np.ndarray, margin: float) -> bool:
     return g.size == d2 or float(np.max(g[d2:])) < -margin
 
 
+def _affine_set(prob: ConvexQcqp, idx: np.ndarray) -> list | None:
+    """For a set idx of affine rows, [rank of their gradients aff_B[idx],
+    their KKT matrix [H B'; B 0]] from prob's kkt_cache, where it is built
+    and kept on the set's first use; a solve that finds the matrix
+    singular replaces it by None.  None for a set with a curved row."""
+    key = idx.tobytes()
+    entry = prob.kkt_cache.get(key)
+    if entry is None and not prob.is_curved[idx].any():
+        d = prob.dim
+        B = prob.aff_B[idx]
+        kkt = np.zeros((d + idx.size, d + idx.size))
+        kkt[:d, :d] = prob.H
+        kkt[:d, d:] = B.T
+        kkt[d:, :d] = B
+        entry = prob.kkt_cache[key] = [int(np.linalg.matrix_rank(B)), kkt]
+    return entry
+
+
 def _kkt_newton(prob: ConvexQcqp, y: np.ndarray, idx: np.ndarray,
                 lam_a: np.ndarray):
     """Solve the KKT equations with the rows idx held as equalities, from
@@ -293,23 +344,24 @@ def _kkt_newton(prob: ConvexQcqp, y: np.ndarray, idx: np.ndarray,
 
     When no row of idx is curved the equations are linear,
     [H B'; B 0] [y; lam] = [-q; -c] with B, c the rows' affine parts, and
-    one solve gives the answer: it has no stopping test, and a singular or
-    non-finite solve is a failure.  Otherwise Newton on the equations,
-    which stops at a residual of 1e-12 * (1 + max|q|) once the residual
-    and every |lam * g| of the set are also at most 1e-10, a tenth of
-    the absolute KKT check of _finish_active: |q| is in the thousands on
-    prox problems, where the relative stop alone leaves correct sets
-    above that check."""
+    one solve of the cached matrix gives the answer: it has no stopping
+    test, and a singular matrix or a non-finite answer is a failure.
+    Otherwise Newton on the equations, which stops at a residual of
+    1e-12 * (1 + max|q|) once the residual and every |lam * g| of the set
+    are also at most 1e-10, a tenth of the absolute KKT check of
+    _finish_active: |q| is in the thousands on prox problems, where the
+    relative stop alone leaves correct sets above that check."""
     d = prob.dim
-    if not prob.is_curved[idx].any():
-        kkt = np.zeros((d + idx.size, d + idx.size))
-        kkt[:d, :d] = prob.H
-        kkt[:d, d:] = prob.aff_B[idx].T
-        kkt[d:, :d] = prob.aff_B[idx]
+    affine = _affine_set(prob, idx)
+    if affine is not None:
+        if affine[1] is None:
+            return y, lam_a, False
         try:
             sol = np.linalg.solve(
-                kkt, -np.concatenate([prob.q, prob.aff_c[idx]]))
+                affine[1], -np.concatenate([prob.q, prob.aff_c[idx]]))
         except np.linalg.LinAlgError:
+            # singular whatever the right-hand side
+            affine[1] = None
             return y, lam_a, False
         if not np.isfinite(sol).all():
             return y, lam_a, False
@@ -346,16 +398,18 @@ def _kkt_newton(prob: ConvexQcqp, y: np.ndarray, idx: np.ndarray,
 
 def _finish_active(prob: ConvexQcqp, yv: np.ndarray, idx: np.ndarray,
                    lam_a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(yv, multipliers over all rows) when yv with the multipliers lam_a
+    of the rows idx passes the KKT check, else None.  The rows are
+    evaluated once; a point or multiplier that is not finite fails."""
     g = prob.con_values(yv)
-    inactive = np.ones(prob.n_con, dtype=bool)
-    inactive[idx] = False
-    if np.any(lam_a < -1e-9) or \
-            np.any(g[inactive] > 1e-10) or \
-            np.max(np.abs(g[idx]), initial=0.0) > 1e-10:
+    violated = g > 1e-10
+    violated[idx] = False
+    if (lam_a < -1e-9).any() or violated.any() or \
+            np.abs(g[idx]).max(initial=0.0) > 1e-10:
         return None
     lam_full = np.zeros(prob.n_con)
     lam_full[idx] = np.maximum(lam_a, 0.0)
-    if kkt_residual(prob, yv, lam_full) > 1e-9:
+    if kkt_residual(prob, yv, lam_full, g) > 1e-9:
         return None
     return yv, lam_full
 
@@ -364,7 +418,7 @@ def _polish(prob: ConvexQcqp, y: np.ndarray, lam: np.ndarray,
             active: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Newton solve of the KKT system restricted to the active set; returns
     None when the guess is inconsistent."""
-    idx = np.flatnonzero(active)
+    idx = active.nonzero()[0]
     yv, lam_a, ok = _kkt_newton(prob, y, idx, lam[idx])
     if not ok:
         return None
@@ -378,14 +432,15 @@ def _active_set_solve(prob: ConvexQcqp, y: np.ndarray) -> QcqpResult | None:
     its KKT solve, the new row is tried in place of each active row in
     ascending order.  A set whose row gradients at the current point are
     linearly dependent counts as failed without a solve: its KKT system
-    is singular, as it is for a row parallel to an active box row.  Only
-    when no row is violated is a row with a negative multiplier dropped,
-    the most negative first.  Sets already seen are skipped, so a drop
-    that would return to one tries the next negative row, and a set holds
-    at most dim rows.  The search runs at most 3 * n_con rounds, room for
-    every row to enter, leave and enter again.  Every exit is verified
-    against the full KKT conditions, so a None just routes the problem to
-    the barrier."""
+    is singular, as it is for a row parallel to an active box row.  The
+    rank of an affine set's rows does not depend on the point and comes
+    from the problem's cache.  Only when no row is violated is a row with
+    a negative multiplier dropped, the most negative first.  Sets already
+    seen are skipped, so a drop that would return to one tries the next
+    negative row, and a set holds at most dim rows.  The search runs at
+    most 3 * n_con rounds, room for every row to enter, leave and enter
+    again.  Every exit is verified against the full KKT conditions, so a
+    None just routes the problem to the barrier."""
     act: list[int] = []
     lam = np.zeros(0)
     seen = {frozenset()}
@@ -413,7 +468,10 @@ def _active_set_solve(prob: ConvexQcqp, y: np.ndarray) -> QcqpResult | None:
             seen.add(key)
             cand = sorted(cand)
             idx = np.array(cand, dtype=int)
-            if np.linalg.matrix_rank(prob.con_grads(y)[idx]) < idx.size:
+            affine = _affine_set(prob, idx)
+            rank = (np.linalg.matrix_rank(prob.con_grads(y)[idx])
+                    if affine is None else affine[0])
+            if rank < idx.size:
                 continue
             y_new, lam_new, ok = _kkt_newton(
                 prob, y, idx, np.array([start.get(k, 0.0) for k in cand]))
@@ -452,7 +510,7 @@ def _solve_from(prob: ConvexQcqp, free: np.ndarray | None,
     if warm is not None and warm.lam.size == prob.n_con:
         active = warm.lam > 1e-9
         done = (_polish(prob, warm.y, warm.lam, active)
-                if np.any(active) else None)
+                if active.any() else None)
         if done is not None:
             return QcqpResult(done[0], done[1], "warm")
     fast = None if free is None else _active_set_solve(prob, free)
@@ -470,7 +528,7 @@ def _solve_from(prob: ConvexQcqp, free: np.ndarray | None,
             t *= 10.0
         lam = 1.0 / (t * np.maximum(-prob.con_values(y), 1e-300))
         active = lam > np.sqrt(1.0 / t)
-        if np.any(active):
+        if active.any():
             polished = _polish(prob, y, lam, active)
             if polished is not None:
                 yv, lam_full = polished
@@ -485,10 +543,13 @@ def qcqp_prox(prob: ConvexQcqp, anchor: np.ndarray, rho: float,
               metric: np.ndarray | None = None) -> QcqpResult:
     """prox_{rho f}(anchor) for f the objective restricted to the
     constraint set: adds (1/rho) * (1/2 ||y||^2 - anchor'y), with the
-    norm taken in the positive definite metric when one is given."""
-    hess, gain, offset = prob.prox_map(rho, metric)
+    norm taken in the positive definite metric when one is given.  The
+    prox problem shares the KKT cache of prob's prox map for rho and
+    metric.  rho must be finite and positive (checked by prox_map)."""
+    hess, gain, offset, kkt_cache = prob.prox_map(rho, metric)
     pull = anchor / rho if metric is None else metric @ anchor / rho
     shifted = prob.with_objective(hess, prob.q - pull)
+    shifted.kkt_cache = kkt_cache
     return _solve_from(shifted, gain @ anchor + offset, y0=anchor,
                        warm=warm)
 

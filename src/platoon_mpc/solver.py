@@ -515,10 +515,14 @@ def plan_violation(config: PlatoonConfig, state: PlatoonState,
                    u_plan: np.ndarray, struct: StructuralMatrices) -> float:
     """Worst violation of the boxes, speed band and safety rows of the
     horizon model at a full (n, p) control plan, from one evaluation of the
-    whole platoon's rows; 0.0 when every row holds."""
+    whole platoon's rows; 0.0 when every row holds, inf when a plan entry
+    or a row value is not finite."""
     u_prev = np.vstack((np.full((1, u_plan.shape[1]), state.u0),
                         u_plan[:-1]))
     rows, (h, _, _) = _platoon_rows(config, state, u_plan, u_prev, struct)
+    if not (np.isfinite(u_plan).all() and np.isfinite(rows.q).all()
+            and np.isfinite(h).all()):
+        return np.inf
     return max(0.0, float(np.max(config.accel_min[:, None] - u_plan)),
                float(np.max(u_plan - config.accel_max[:, None])),
                float(np.max(config.speed_min - rows.q)),

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import box_qp_brute, kkt_newton_loop, prox_by_solve, stack_rows
 from platoon_mpc.convex import (
     ConvexQcqp, QcqpInfeasibleError, QcqpResult, _active_set_solve,
-    _finish_active, _kkt_newton, _solve_from, box_prox, kkt_residual,
-    qcqp_prox, qcqp_solve,
+    _affine_set, _finish_active, _kkt_newton, _solve_from, box_prox,
+    kkt_residual, qcqp_prox, qcqp_solve,
 )
 
 
@@ -329,41 +329,58 @@ def test_prox_matches_the_shifted_solve(rng):
 
 
 def test_prox_map_is_rebuilt_per_key(rng):
-    # the map is kept while rho and the metric object stay, and built
-    # anew for a new rho, a new metric object and every new problem
+    # the map, with its KKT cache, is kept while rho and the metric object
+    # stay, and built anew, with an empty cache, for a new rho, a new
+    # metric object and every new or derived problem
     d = 4
-    prob, _ = random_feasible_qcqp(rng, d)
+    prob, _ = random_feasible_qcqp(rng, d, n_ball=0)
     metric = random_pd(rng, d)
 
     def check(got, rho, m):
         curv = np.eye(d) / rho if m is None else m / rho
-        hess, gain, offset = got
-        assert np.array_equal(hess, prob.H + curv)
-        assert np.allclose(hess @ gain, curv, rtol=0.0, atol=1e-12)
-        assert np.allclose(hess @ offset, -prob.q, rtol=0.0, atol=1e-12)
+        assert np.array_equal(got.hess, prob.H + curv)
+        assert np.allclose(got.hess @ got.gain, curv, rtol=0.0, atol=1e-12)
+        assert np.allclose(got.hess @ got.offset, -prob.q, rtol=0.0,
+                           atol=1e-12)
+        assert got.kkt_cache == {}
+
+    def fill(rho, m=None):
+        # prox calls far outside the box end on affine active sets
+        for _ in range(4):
+            qcqp_prox(prob, rng.normal(0.0, 8.0, d), rho, metric=m)
+        return prob.prox_map(rho, m).kkt_cache
 
     first = prob.prox_map(0.1)
     check(first, 0.1, None)
+    cache = fill(0.1)
+    assert cache
     assert all(x is y for x, y in zip(prob.prox_map(0.1), first))
     check(prob.prox_map(0.2), 0.2, None)
     check(prob.prox_map(0.2, metric), 0.2, metric)
     kept = prob.prox_map(0.2, metric)
+    assert fill(0.2, metric) is kept.kkt_cache
     assert all(x is y for x, y in zip(prob.prox_map(0.2, metric), kept))
     # an equal metric in a new array is a new key
     again = prob.prox_map(0.2, metric.copy())
     assert not any(x is y for x, y in zip(again, kept))
     check(again, 0.2, metric)
     check(prob.prox_map(0.1), 0.1, None)
-    # a derived problem and a new problem start with no map
+    # a derived problem and a new problem start with no map and an empty
+    # cache of their own
+    assert prob.kkt_cache == {}
     derived = prob.with_objective(2.0 * prob.H, -prob.q)
-    hess = derived.prox_map(0.1)[0]
+    assert derived.kkt_cache == {} and derived.kkt_cache is not cache
+    hess = derived.prox_map(0.1).hess
     assert np.array_equal(hess, 2.0 * prob.H + np.eye(d) / 0.1)
-    assert np.array_equal(derived.prox_map(0.1)[2],
+    assert np.array_equal(derived.prox_map(0.1).offset,
                           np.linalg.inv(hess) @ prob.q)
+    assert derived.prox_map(0.1).kkt_cache == {}
     other = ConvexQcqp(prob.H + np.eye(d), prob.q, prob.lo, prob.hi,
                        prob.A, prob.b, prob.c)
-    assert np.array_equal(other.prox_map(0.1)[0],
+    assert other.kkt_cache == {}
+    assert np.array_equal(other.prox_map(0.1).hess,
                           prob.H + np.eye(d) + np.eye(d) / 0.1)
+    assert other.prox_map(0.1).kkt_cache == {}
 
 
 def barrier_reproducer_problems():
@@ -580,3 +597,114 @@ def test_curved_newton_stop_meets_the_kkt_check():
         done = _finish_active(prob, y, idx, lam)
         assert done is not None
         assert kkt_residual(prob, *done) <= 1e-9
+
+
+def test_cached_prox_chains_match_fresh_solves():
+    # chains of warm-started prox calls on one problem, with anchors that
+    # drift and jump, end as fresh solves end: same status and a point
+    # within 1e-10, while the affine sets come from the map's cache
+    rng = np.random.default_rng(3)
+    reused = 0
+    statuses = set()
+    for _ in range(60):
+        d = int(rng.integers(2, 7))
+        prob = mixed_prox_problem(rng, d)
+        rho = 10.0 ** rng.uniform(-2.0, 0.0)
+        metric = random_pd(rng, d) if rng.uniform() < 0.5 else None
+        anchor = rng.normal(0.0, 3.0, d)
+        got = want = None
+        for k in range(12):
+            anchor = (anchor + rng.normal(0.0, 0.05, d) if k % 4 else
+                      rng.normal(0.0, 3.0, d))
+            before = len(prob.prox_map(rho, metric).kkt_cache)
+            got = qcqp_prox(prob, anchor, rho, warm=got, metric=metric)
+            want = prox_by_solve(prob, anchor, rho, warm=want, metric=metric)
+            assert got.status == want.status
+            assert np.max(np.abs(got.y - want.y)) <= 1e-10
+            affine = not prob.is_curved[got.lam > 0.0].any()
+            reused += (got.status == "warm" and affine and
+                       len(prob.prox_map(rho, metric).kkt_cache) == before)
+            statuses.add(got.status)
+    assert {"free", "warm", "active"} <= statuses
+    assert reused >= 50
+
+
+def test_second_call_on_an_active_set_reuses_its_kkt_matrix(monkeypatch):
+    # two prox calls whose anchors end on the same affine set: the first
+    # builds the set's KKT matrix and the rank of its rows, and the
+    # second, a warm polish, solves the cached matrix without building or
+    # ranking again, to the bits of a fresh solve
+    d = 3
+    prob = ConvexQcqp(np.diag([2.0, 3.0, 4.0]), np.ones(d), np.full(d, -1.0),
+                      np.full(d, 1.0),
+                      *stack_rows([(np.zeros((d, d)), np.ones(d), -1.0)], d))
+    rho = 0.1
+    first = qcqp_prox(prob, np.array([5.0, 0.2, -0.1]), rho)
+    assert first.status == "active"
+    assert np.flatnonzero(first.lam).tolist() == [3]
+    cache = prob.prox_map(rho).kkt_cache
+    entry = cache[np.array([3]).tobytes()]
+    kkt = entry[1]
+    assert entry[0] == 1
+    assert np.array_equal(kkt[:d, :d], prob.prox_map(rho).hess)
+    anchor = np.array([5.0, 0.25, -0.15])
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "matrix_rank", None)
+        second = qcqp_prox(prob, anchor, rho, warm=first)
+    assert second.status == "warm"
+    assert np.flatnonzero(second.lam).tolist() == [3]
+    assert len(cache) == 1 and entry[1] is kkt
+    want = prox_by_solve(prob, anchor, rho, warm=first)
+    assert np.array_equal(second.y, want.y)
+
+
+def test_singular_affine_set_fails_again_from_the_cache(monkeypatch):
+    # a coordinate's lower and upper bound held together give an exactly
+    # singular KKT matrix: the first solve fails and caches the failure,
+    # and the second fails from the cache without solving again
+    d = 2
+    prob = ConvexQcqp(np.eye(d), np.zeros(d), np.full(d, -1.0),
+                      np.full(d, 1.0))
+    idx = np.array([0, d])
+    y, lam = np.zeros(d), np.zeros(idx.size)
+    assert _kkt_newton(prob, y, idx, lam)[2] is False
+    assert _affine_set(prob, idx) == [1, None]
+    monkeypatch.setattr(np.linalg, "solve", None)
+    assert _kkt_newton(prob, y, idx, lam)[2] is False
+    assert _affine_set(prob, idx) == [1, None]
+
+
+def test_non_finite_points_fail_the_kkt_check():
+    prob = ConvexQcqp(np.eye(2), np.zeros(2), -np.ones(2), np.ones(2))
+    lam = np.zeros(prob.n_con)
+    assert kkt_residual(prob, np.zeros(2), lam) == 0.0
+    for bad in (np.nan, np.inf):
+        lam_bad = lam.copy()
+        lam_bad[1] = bad
+        assert kkt_residual(prob, np.array([bad, 0.0]), lam) == np.inf
+        assert kkt_residual(prob, np.zeros(2), lam_bad) == np.inf
+        assert _finish_active(prob, np.zeros(2), np.array([1]),
+                              np.array([bad])) is None
+    # the free exit of the active-set search at a NaN point
+    assert _finish_active(prob, np.array([np.nan, 0.0]),
+                          np.zeros(0, dtype=int), np.zeros(0)) is None
+    assert _active_set_solve(prob, np.array([np.nan, np.nan])) is None
+
+
+def test_prox_of_a_nan_anchor_is_not_verified():
+    # the unconstrained point of a NaN anchor is NaN, and no exit may
+    # pass it as a KKT point
+    prob = ConvexQcqp(np.eye(2), np.zeros(2), -np.ones(2), np.ones(2))
+    res = qcqp_prox(prob, np.array([np.nan, 0.0]), 0.1)
+    assert res.status == "barrier"
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.1, np.inf, np.nan])
+def test_prox_rejects_a_step_that_is_not_finite_and_positive(rho):
+    # on a new problem, and on one whose map is memoized for a valid step
+    prob = ConvexQcqp(np.eye(2), np.zeros(2), -np.ones(2), np.ones(2))
+    with pytest.raises(ValueError):
+        qcqp_prox(prob, np.zeros(2), rho)
+    qcqp_prox(prob, np.zeros(2), 0.1)
+    with pytest.raises(ValueError):
+        qcqp_prox(prob, np.zeros(2), rho)

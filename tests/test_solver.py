@@ -19,7 +19,8 @@ from platoon_mpc import loop, solver
 from platoon_mpc.assembly import (HorizonRows, assemble_quadratic_model,
                                   build_structural)
 from platoon_mpc.convex import ConvexQcqp, box_prox
-from platoon_mpc.loop import Scenario, cruise_scenario, simulate
+from platoon_mpc.loop import (Scenario, cruise_scenario, initial_state,
+                              simulate)
 from platoon_mpc.platoon import (GRAVITY, PlatoonState,
                                  random_feasible_state)
 from platoon_mpc.presets import platoon_preset, weight_preset
@@ -421,14 +422,32 @@ def test_step_counters_do_not_leak_across_steps(small, monkeypatch, p,
         assert any(d.frozen for d in rec.diagnostics)
 
 
-@pytest.mark.parametrize("p, scheme", [(1, "default"), (5, "calibrated"),
-                                       (5, "convergent")])
+def cold_states(config, rng, count):
+    """p1-cold-style states: random feasible states with a leader control
+    drawn from the part of the leader box that keeps the leader inside
+    the speed band."""
+    for _ in range(count):
+        st = random_feasible_state(config, rng)
+        v0 = float(st.v[0])
+        st.u0 = float(rng.uniform(
+            max(config.leader.accel_min, (config.speed_min - v0) / config.tau),
+            min(config.leader.accel_max, (config.speed_max - v0) / config.tau)))
+        yield st
+
+
+@pytest.mark.parametrize("p, scheme", [(1, "default"), (1, "cold"),
+                                       (5, "calibrated"), (5, "convergent")])
 def test_prox_map_keeps_the_closed_loop(small, monkeypatch, p, scheme):
-    # the memoized prox map in place of a fresh solve per prox call
-    # changes plans only at rounding level and no counter: a p = 1
-    # brake-and-recover and the onset of a p = 5 brake burst, both
-    # schemes, run once as they are and once through the oracle
-    if p == 1:
+    # the memoized prox map and its KKT cache in place of a fresh solve
+    # per prox call change plans only at rounding level and no counter: a
+    # p = 1 brake-and-recover, whose prox calls almost all stay on the
+    # free path, single p = 1 steps from random feasible states on fresh
+    # agents, where about half end on a warm active set, and the onset of
+    # a p = 5 brake burst, both schemes, run once as they are and once
+    # through the oracle
+    if scheme == "cold":
+        states = list(cold_states(small, np.random.default_rng(0), 6))
+    elif p == 1:
         u0 = np.zeros(20)
         u0[2:6] = -2.0
         u0[10:18] = 1.0
@@ -449,16 +468,34 @@ def test_prox_map_keeps_the_closed_loop(small, monkeypatch, p, scheme):
                 d.outer_iters, d.guard_rounds, d.messages, d.capped_runs)))
             return res
 
+        if scheme == "cold":
+            for st in states:
+                step(formulate_local(small, weight_preset("small", 1), st),
+                     state=st)
+            return steps
         with monkeypatch.context() as m:
             m.setattr(loop, "solve_mpc", step)
             simulate(small, weight_preset("small", p), Scenario("burst", u0),
                      options=opts)
         return steps
 
-    mapped = run()
+    statuses = []
+    mapped_prox = solver.qcqp_prox
+
+    def tally(*args, **kwargs):
+        res = mapped_prox(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "qcqp_prox", tally)
+        mapped = run()
+    if scheme == "cold":
+        assert statuses.count("warm") > 0.3 * len(statuses)
     monkeypatch.setattr(solver, "qcqp_prox", prox_by_solve)
     solved = run()
-    assert len(mapped) == len(solved) == u0.size
+    assert len(mapped) == len(solved) == (
+        len(states) if scheme == "cold" else u0.size)
     for (plan, counts), (want, want_counts) in zip(mapped, solved):
         assert counts == want_counts
         assert np.max(np.abs(plan - want)) <= 1e-10
@@ -512,12 +549,7 @@ def test_cold_p3_step_stays_off_the_barrier(small, monkeypatch):
     # are not solved by the warm polish, and a barrier exit is neither a
     # KKT point (see test_barrier_exit_is_a_kkt_point) nor cheap, so the
     # active-set search must solve each of them
-    rng = np.random.default_rng(3)
-    st = random_feasible_state(small, rng)
-    v0 = float(st.v[0])
-    st.u0 = float(rng.uniform(
-        max(small.leader.accel_min, (small.speed_min - v0) / small.tau),
-        min(small.leader.accel_max, (small.speed_max - v0) / small.tau)))
+    st = next(cold_states(small, np.random.default_rng(3), 1))
     assert st.u0 == pytest.approx(1.3114318140738135, abs=1e-12)
     statuses = []
     qcqp_prox = solver.qcqp_prox
@@ -761,6 +793,18 @@ def test_plan_violation_flags_bad_plans(small):
     bad = np.zeros((small.n, p))
     bad[0, 0] = small.accel_max[0] + 0.5
     assert plan_violation(small, st, bad, struct) >= 0.5 - 1e-12
+
+
+def test_plan_violation_flags_a_nan_plan():
+    # a NaN entry fails every comparison, so the worst violation read 0.0
+    # and solve_mpc would report the plan as feasible
+    cfg = platoon_preset("small", n=4)
+    st = initial_state(cfg, 25.0)
+    struct = build_structural(4, 1)
+    plan = np.zeros((4, 1))
+    assert plan_violation(cfg, st, plan, struct) == 0.0
+    plan[2, 0] = np.nan
+    assert plan_violation(cfg, st, plan, struct) == np.inf
 
 
 @pytest.mark.parametrize("name", ["small", "medium", "large"])
