@@ -124,20 +124,11 @@ def summarize(record: SimRecord, config: PlatoonConfig, spec: RunSpec) -> dict:
     }
 
 
-_DIAG_FIELDS = ("p", "outer_iters", "inner_iters", "lin_rounds",
-                "warm_rounds", "prox_calls", "messages", "outer_step",
-                "inner_residual", "stationarity", "consensus_gap",
-                "violation", "guard_rounds", "capped_runs", "frozen",
-                "converged", "feasible", "wall_time")
-
-
 def write_artifacts(out: Path, record: SimRecord, summary: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", record)
-    diags = []
-    for d in record.diagnostics:
-        full = asdict(d)
-        diags.append({k: full[k] for k in _DIAG_FIELDS})
+    diags = [{k: v for k, v in asdict(d).items() if k != "outer_violation"}
+             for d in record.diagnostics]
     with open(out / "diagnostics.json", "w") as fh:
         json.dump(diags, fh, indent=1)
     with open(out / "summary.json", "w") as fh:

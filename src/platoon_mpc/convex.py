@@ -504,9 +504,13 @@ def _solve_from(prob: ConvexQcqp, free: np.ndarray | None,
                 y0: np.ndarray | None = None, mu_final: float = 1e-11,
                 warm: QcqpResult | None = None) -> QcqpResult:
     """qcqp_solve given the unconstrained minimizer free of prob (None
-    when there is none)."""
+    when there is none).  A free point that is not finite, as a prox
+    anchor that is not finite gives, raises ValueError; the free path
+    never takes one, so the check costs it nothing."""
     if free is not None and (prob.con_values(free) < -1e-8).all():
         return QcqpResult(free, np.zeros(prob.n_con), "free")
+    if free is not None and not np.isfinite(free).all():
+        raise ValueError("the unconstrained point is not finite")
     if warm is not None and warm.lam.size == prob.n_con:
         active = warm.lam > 1e-9
         done = (_polish(prob, warm.y, warm.lam, active)
@@ -545,7 +549,8 @@ def qcqp_prox(prob: ConvexQcqp, anchor: np.ndarray, rho: float,
     constraint set: adds (1/rho) * (1/2 ||y||^2 - anchor'y), with the
     norm taken in the positive definite metric when one is given.  The
     prox problem shares the KKT cache of prob's prox map for rho and
-    metric.  rho must be finite and positive (checked by prox_map)."""
+    metric.  rho must be finite and positive (checked by prox_map), and
+    so must every anchor entry (checked by _solve_from)."""
     hess, gain, offset, kkt_cache = prob.prox_map(rho, metric)
     pull = anchor / rho if metric is None else metric @ anchor / rho
     shifted = prob.with_objective(hess, prob.q - pull)

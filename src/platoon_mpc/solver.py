@@ -26,6 +26,18 @@ the QCQP kernel as the stacked arrays they are built as, and the two
 exactly convex stages, the one-step horizon and the loss-free warm start,
 build their problems through one function that differs only in the
 losses it charges.
+
+A vehicle's safety rows read its own block and its predecessor's, and
+each agent's prox point meets them against its own copy of the
+predecessor's block, so the plan assembled from the owners' blocks can
+miss a row by the consensus gap.  One guard serves the warm start, the
+one-step horizon and the end of the outer loop: while the plan violates
+its rows it runs a repair pass down the chain, in which every agent
+receives its predecessor's repaired block and projects its own block onto
+its rows with that block held fixed.  The rows of the warm start and of
+the one-step horizon are exact, so one pass is final there; at longer
+horizons every pass first relinearizes at the plan, and passes run while
+they lower the violation.
 """
 
 from __future__ import annotations
@@ -66,10 +78,6 @@ RATE_WINDOW = 10
 # true rows its plan may keep
 LIN_TOL = 1e-5
 GUARD_TOL = 1e-8
-# safety rows couple neighbouring blocks, so the assembled plan can sit a
-# consensus gap away from each owner's feasible prox point; every retry
-# tightens the round tolerance tenfold until the gap is immaterial
-GUARD_RETRIES = 6
 # round tolerance of the box-only warm-up of a calibrated stage
 WARM_TOL = 1e-7
 # an agent whose iterate moves by at most FREEZE_STEP in FREEZE_ROUNDS
@@ -144,8 +152,9 @@ class LocalExchange:
     counts traffic for the diagnostics.  One fabric serves an agent graph
     for its lifetime (ConsensusLayout.net): the layout checks its fixed
     routes once with check(), and every consensus average counts one
-    round, and its messages, with record_round().  The counts add up over
-    all solves on the graph; solve_mpc reports its own share as the
+    round, and its messages, with record_round().  A repair pass (see
+    _repair) adds its messages and no round.  The counts add up over all
+    solves on the graph; solve_mpc reports its own share as the
     difference."""
 
     def __init__(self, n: int):
@@ -624,6 +633,63 @@ def _exact_problems(agents: list[AgentState], rows: tuple,
 
 
 # ---------------------------------------------------------------------------
+# feasibility guard: repair passes down the chain
+
+def _repair(agents: list[AgentState], plan: np.ndarray) -> np.ndarray:
+    """One pass down the chain: agent i receives its predecessor's
+    repaired block, one message over a route the layout has checked,
+    holds the rest of its local vector at the (n, p) plan and projects
+    its own block onto the rows of its current problem, which are in
+    offsets from the stage base.  Returns the repaired plan."""
+    st = _splitting(agents)
+    lay = st.layout
+    lay.net.messages += len(agents) - 1
+    out = plan.copy()
+    for a, sl in zip(agents, lay.slices):
+        own = a.sl(a.own_pos)
+        x = out.ravel()[lay.scatter[sl]] - st.base[sl]
+        q = -x[own]
+        x[own] = 0.0
+        prob = a.problem
+        A, b = prob.A, prob.b
+        sub = ConvexQcqp(np.eye(a.p), q, prob.lo[own], prob.hi[own],
+                         A[:, own, own], b[:, own] + A[:, own] @ x,
+                         prob.c + b @ x + 0.5 * (A @ x) @ x)
+        out[a.i - 1] = st.base[sl][own] + qcqp_solve(sub).y
+    return out
+
+
+def _guard(agents: list[AgentState], plan: np.ndarray, tol: float,
+           diag: "MpcDiagnostics",
+           options: SolverConfig | None = None) -> tuple:
+    """Repair passes while the plan violates its rows by more than tol;
+    a pass is kept only if it lowers the violation, and the guard stops
+    at the first that does not.  The agents' problems hold the exact rows
+    unless options are given: then every pass first relinearizes at the
+    plan (scp_step), and otherwise one pass is final.  Returns the plan
+    and its violation; the passes run go to diag.guard_rounds."""
+    sh = agents[0].shared
+    st = _splitting(agents)
+    viol = plan_violation(sh.config, sh.state, plan, sh.struct)
+    while viol > tol:
+        if options is not None:
+            st.u_hat = st.base = plan.ravel()[st.layout.scatter]
+            scp_step(agents, options)
+        diag.guard_rounds += 1
+        try:
+            fixed = _repair(agents, plan)
+        except QcqpInfeasibleError:
+            break
+        fixed_viol = plan_violation(sh.config, sh.state, fixed, sh.struct)
+        if fixed_viol >= viol:
+            break
+        plan, viol = fixed, fixed_viol
+        if options is None:
+            break
+    return plan, viol
+
+
+# ---------------------------------------------------------------------------
 # warm start: loss-free cost over restricted convex sets
 
 def warm_start_linear(agents: list[AgentState],
@@ -631,32 +697,24 @@ def warm_start_linear(agents: list[AgentState],
                       diag: "MpcDiagnostics | None" = None) -> np.ndarray:
     """First iterate: minimize the loss-free quadratic cost over the inner
     convex restrictions of the horizon constraints, by splitting rounds.
-    The result is checked against the true rows and the rounds continue at
-    a tighter tolerance if the averaging left a violation behind.  The
-    rounds of this call and its capped runs go to diag when given."""
+    The result is checked against the true rows and repaired if the
+    averaging left a violation behind (see _guard).  The rounds of this
+    call, its capped run and its repair passes go to diag when given."""
     options = options or SolverConfig()
     sh, p = agents[0].shared, agents[0].p
+    diag = diag or MpcDiagnostics(p=p)
     rows = _restricted_rows(sh.config, sh.state, sh.struct, p)
     _exact_problems(agents, rows, np.zeros((sh.config.n, p)))
     st = _begin_stage(agents, None, seed="carry")
     rounds0 = st.layout.net.rounds
-    tol = LIN_TOL
-    capped = 0
-    for attempt in range(GUARD_RETRIES + 1):
-        _, conv = _run_rounds(agents, tol, options.max_inner)
-        capped += not conv
-        plan = _collect_plan(st)
-        gap = plan_violation(sh.config, sh.state, plan, sh.struct)
-        if gap <= GUARD_TOL:
-            break
-        if attempt == GUARD_RETRIES:
-            raise WarmStartError(
-                f"restricted stage kept violation {gap:.2e} above "
-                f"{GUARD_TOL:.0e} after {attempt + 1} attempts")
-        tol /= 10.0
-    if diag is not None:
-        diag.lin_rounds = st.layout.net.rounds - rounds0
-        diag.capped_runs += capped
+    _, conv = _run_rounds(agents, LIN_TOL, options.max_inner)
+    plan, gap = _guard(agents, _collect_plan(st), GUARD_TOL, diag)
+    if gap > GUARD_TOL:
+        raise WarmStartError(
+            f"restricted stage kept violation {gap:.2e} above "
+            f"{GUARD_TOL:.0e} after its repair")
+    diag.lin_rounds = st.layout.net.rounds - rounds0
+    diag.capped_runs += not conv
     st.carry_z = st.z.copy()
     st.u_hat = plan.ravel()[st.layout.scatter]
     for a in agents:
@@ -669,7 +727,7 @@ def warm_start_linear(agents: list[AgentState],
 
 def scp_step(agents: list[AgentState],
              options: SolverConfig | None = None) -> None:
-    """Relinearize every active agent at its current iterate: gradient and
+    """Relinearize every agent at its current iterate: gradient and
     curvature bound nu * ||local cost Hessian|| of the local cost, plus
     one quadratic majorant row per speed/safety constraint, all expressed
     in offsets from the iterate.  The lower speed and the safety rows
@@ -707,9 +765,6 @@ def scp_step(agents: list[AgentState],
         [-rows.q_grad, rows.q_grad, g_own], axis=1).transpose(1, 0, 2)
     B[2 * p:, lay.prev] = g_prev.transpose(1, 0, 2)
     for a, sl, a_curv, a_const in zip(agents, lay.slices, curv, const):
-        if a.frozen:
-            a.problem = None
-            continue
         u_loc = st.u_hat[sl]
         u_by_block = [u_loc[a.sl(b)] for b in range(len(a.blocks))]
         _, grads, hj = local_objective(sh.objectives[a.i - 1], u_by_block)
@@ -759,9 +814,10 @@ class MpcDiagnostics:
     stationarity: float = np.inf
     consensus_gap: float = np.inf
     violation: float = np.inf
+    # repair passes of the feasibility guards, the warm start's included
     guard_rounds: int = 0
-    # splitting runs that hit max_inner short of their tolerance: warm
-    # start attempts, stages, the p = 1 runs and guard runs
+    # splitting runs that hit max_inner short of their tolerance: the warm
+    # start, the stages and the p = 1 run
     capped_runs: int = 0
     frozen: int = 0
     converged: bool = False
@@ -778,11 +834,7 @@ class MpcResult:
 
 
 def _outer_converged(p: int, step: float, scale: float, tol: float) -> bool:
-    if step <= tol:
-        return True
-    if p in (2, 3) and scale > 0.0 and step / scale <= tol:
-        return True
-    return False
+    return step <= tol or (p in (2, 3) and scale > 0.0 and step / scale <= tol)
 
 
 def solve_mpc(agents: list[AgentState],
@@ -812,21 +864,14 @@ def solve_mpc(agents: list[AgentState],
         rows = _one_step_rows(sh.config, sh.state, sh.struct)
         _exact_problems(agents, rows, _losses(sh.config, sh.state)[:, None])
         _begin_stage(agents, None, seed="carry")
-        tol = options.outer_tol_for(1)
-        resid = np.inf
-        for attempt in range(GUARD_RETRIES + 1):
-            trace, conv = _run_rounds(agents, tol, options.max_inner)
-            resid = trace[-1] if trace else resid
-            diag.capped_runs += not conv
-            plan = _collect_prox_plan(st)
-            viol = plan_violation(sh.config, sh.state, plan, sh.struct)
-            if viol <= options.feas_tol or not conv:
-                break
-            diag.guard_rounds += 1
-            tol /= 10.0
+        trace, conv = _run_rounds(agents, options.outer_tol_for(1),
+                                  options.max_inner)
         st.carry_z = st.z.copy()
+        plan, viol = _guard(agents, _collect_prox_plan(st),
+                            options.feas_tol, diag)
+        diag.capped_runs += not conv
         diag.outer_iters = 1
-        diag.inner_residual = diag.outer_step = resid
+        diag.inner_residual = diag.outer_step = trace[-1] if trace else np.inf
         diag.converged = conv
     else:
         for a in agents:
@@ -877,18 +922,8 @@ def solve_mpc(agents: list[AgentState],
                 break
         diag.outer_step = step
         diag.converged = conv
-        plan = _collect_prox_plan(st)
-        viol = plan_violation(sh.config, sh.state, plan, sh.struct)
-        for attempt in range(GUARD_RETRIES):
-            if viol <= options.feas_tol:
-                break
-            diag.guard_rounds += 1
-            tol_inner /= 10.0
-            trace, conv = _run_rounds(agents, tol_inner, options.max_inner)
-            diag.capped_runs += not conv
-            diag.inner_residual = trace[-1]
-            plan = _collect_prox_plan(st)
-            viol = plan_violation(sh.config, sh.state, plan, sh.struct)
+        plan, viol = _guard(agents, _collect_prox_plan(st),
+                            options.feas_tol, diag, options)
 
     diag.inner_iters = (net.rounds - rounds0 - diag.lin_rounds
                         - diag.warm_rounds)

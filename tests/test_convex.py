@@ -692,11 +692,14 @@ def test_non_finite_points_fail_the_kkt_check():
 
 
 def test_prox_of_a_nan_anchor_is_not_verified():
-    # the unconstrained point of a NaN anchor is NaN, and no exit may
-    # pass it as a KKT point
+    # the unconstrained point of an anchor that is not finite is not
+    # finite either; the prox rejects it instead of returning a point no
+    # exit verified (the box midpoint, on the barrier path).  An infinite
+    # entry also makes the product that forms the point warn (inf * 0)
     prob = ConvexQcqp(np.eye(2), np.zeros(2), -np.ones(2), np.ones(2))
-    res = qcqp_prox(prob, np.array([np.nan, 0.0]), 0.1)
-    assert res.status == "barrier"
+    for bad in (np.nan, np.inf, -np.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            qcqp_prox(prob, np.array([bad, 0.0]), 0.1)
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.1, np.inf, np.nan])

@@ -1,7 +1,8 @@
 """Splitting solver: fabric locality and message counts, the consensus
-average, determinism, stagewise feasibility, agreement with the
-centralized references, validity of the majorant rows, capped-run
-counts, and the freeze heuristic at steady cruise."""
+average, determinism, stagewise feasibility, the repair passes of the
+feasibility guard, agreement with the centralized references, validity
+of the majorant rows, capped-run counts, and the freeze heuristic at
+steady cruise."""
 
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from oracles import (consensus_gap_by_copies, horizon_minimizer,
 from platoon_mpc import loop, solver
 from platoon_mpc.assembly import (HorizonRows, assemble_quadratic_model,
                                   build_structural)
-from platoon_mpc.convex import ConvexQcqp, box_prox
+from platoon_mpc.convex import ConvexQcqp, QcqpInfeasibleError, box_prox
 from platoon_mpc.loop import (Scenario, cruise_scenario, initial_state,
                               simulate)
 from platoon_mpc.platoon import (GRAVITY, PlatoonState,
@@ -26,7 +27,7 @@ from platoon_mpc.platoon import (GRAVITY, PlatoonState,
 from platoon_mpc.presets import platoon_preset, weight_preset
 from platoon_mpc.solver import (
     INNER_TOL, LIP_FACTOR, NU, OUTER_TOL, LocalExchange, LocalityError,
-    MpcDiagnostics, SolverConfig, WarmStartError, _average, _begin_stage,
+    MpcDiagnostics, SolverConfig, _average, _begin_stage,
     _block_metric, _consensus_gap, _exact_problems, _losses, _one_step_rows,
     _place, _restricted_rows, _run_rounds, _splitting, _stationarity,
     dr_round, formulate_local, plan_violation, scp_step,
@@ -384,7 +385,8 @@ def test_step_counters_do_not_leak_across_steps(small, monkeypatch, p,
                                                 scheme):
     # one fabric serves the agent graph for the whole closed loop; every
     # step reports its own rounds, counted here at dr_round, and four
-    # messages per link and round, frozen agents included
+    # messages per link and round, frozen agents included, plus one per
+    # link and repair pass
     calls = []
     one_round = solver.dr_round
 
@@ -417,7 +419,7 @@ def test_step_counters_do_not_leak_across_steps(small, monkeypatch, p,
     for d, rounds in zip(rec.diagnostics, per_step):
         total = d.lin_rounds + d.warm_rounds + d.inner_iters
         assert total == rounds > 0
-        assert d.messages == 4 * (small.n - 1) * total
+        assert d.messages == (small.n - 1) * (4 * total + d.guard_rounds)
     if scheme == "calibrated":
         assert any(d.frozen for d in rec.diagnostics)
 
@@ -502,8 +504,8 @@ def test_prox_map_keeps_the_closed_loop(small, monkeypatch, p, scheme):
 
 
 # the fourth state of the large platoon's p = 5 hard-braking run (the
-# leader at -6 m/s^2 from step 2), where the returned plan keeps a
-# violation of about 2e-5 after every guard retry
+# leader at -6 m/s^2 from step 2), where the rounds end with a plan about
+# 2e-5 outside a row
 BRAKE_X = [72.0, 7.074502694514702, -58.140085809523, -123.27838367248212,
            -188.32100651334412, -253.33514047546458, -318.3382590172289,
            -383.3386951410487, -448.33874051077333, -513.3387563492198,
@@ -514,15 +516,15 @@ BRAKE_V = [19.0, 19.76703039407318, 19.74269401067818, 19.73450363167421,
            19.70402428700597]
 
 
-@pytest.mark.parametrize("p, seed, u0", [(1, 2, -3.0), (3, 5, -1.0)])
+@pytest.mark.parametrize("p, seed, u0", [(1, 2, -3.0), (3, 38, -1.0)])
 def test_reported_violation_is_the_returned_plans(large, p, seed, u0):
     # the diagnostics report the guard's own measurement of the returned
-    # plan; these states end a hair outside a row (9.8e-15, 1.8e-15)
-    # without a guard retry
+    # plan; these states end outside a row without a guard pass, the p = 1
+    # one by a hair (9.8e-15), the p = 3 one by 4.1e-05, within feas_tol
     st = random_feasible_state(large, np.random.default_rng(seed))
     st.u0 = u0
     agents = formulate_local(large, weight_preset("large", p), st)
-    res = solve_mpc(agents, state=st)
+    res = solve_mpc(agents, SolverConfig(feas_tol=1e-4), state=st)
     viol = plan_violation(large, st, res.u_plan, agents[0].shared.struct)
     assert res.diagnostics.guard_rounds == 0
     assert viol > 0.0
@@ -545,79 +547,100 @@ def test_reported_violation_beyond_rounding(large):
 
 def test_cold_p3_step_stays_off_the_barrier(small, monkeypatch):
     # the first p1-cold-style state of default_rng(3) (leader at +1.31
-    # m/s^2) at p = 3 on the default scheme: hundreds of its prox problems
+    # m/s^2) at p = 3 on the default scheme: dozens of its prox problems
     # are not solved by the warm polish, and a barrier exit is neither a
     # KKT point (see test_barrier_exit_is_a_kkt_point) nor cheap, so the
-    # active-set search must solve each of them
+    # active-set search must solve each of them, and each projection of
+    # the warm start's repair pass
     st = next(cold_states(small, np.random.default_rng(3), 1))
     assert st.u0 == pytest.approx(1.3114318140738135, abs=1e-12)
-    statuses = []
-    qcqp_prox = solver.qcqp_prox
+    statuses, solved = [], []
+    qcqp_prox, qcqp_solve = solver.qcqp_prox, solver.qcqp_solve
 
     def prox(*args, **kwargs):
         res = qcqp_prox(*args, **kwargs)
         statuses.append(res.status)
         return res
 
+    def solve(*args, **kwargs):
+        res = qcqp_solve(*args, **kwargs)
+        solved.append(res.status)
+        return res
+
     monkeypatch.setattr(solver, "qcqp_prox", prox)
+    monkeypatch.setattr(solver, "qcqp_solve", solve)
     agents = formulate_local(small, weight_preset("small", 3), st)
     res = solve_mpc(agents, state=st)
-    assert len(statuses) > 10000
-    assert "barrier" not in statuses
+    assert statuses.count("active") > 50
+    assert res.diagnostics.guard_rounds > 0
+    assert len(solved) == small.n * res.diagnostics.guard_rounds
+    assert "barrier" not in statuses + solved
     assert res.diagnostics.feasible
     assert plan_violation(small, st, res.u_plan,
                           agents[0].shared.struct) <= SolverConfig().feas_tol
 
 
-def test_reported_violation_after_guard_retries(large, monkeypatch):
-    # the hard-braking case at p = 5 retries the guard at step 3 and
-    # returns a plan that still violates its rows
+def test_repair_of_the_hard_brake_step(large, monkeypatch):
+    # the hard-braking case at p = 5: at step 3 the rounds end outside a
+    # row, and one repair pass down the chain returns a feasible plan
+    # near theirs.  The diagnostics report the guard's own measurement of
+    # the returned plan, and the residual of the last stage, since a
+    # repair runs no rounds
     u0 = np.zeros(4)
     u0[2:4] = -6.0
-    solve = loop.solve_mpc
-    seen = []
-
-    def step(agents, options=None, state=None):
-        res = solve(agents, options, state=state)
-        seen.append((res, plan_violation(large, state, res.u_plan,
-                                         agents[0].shared.struct)))
-        return res
-
-    monkeypatch.setattr(loop, "solve_mpc", step)
-    with pytest.raises(loop.SimulationError):
-        simulate(large, weight_preset("large", 5), Scenario("brake", u0))
-    res, viol = seen[-1]
-    assert res.diagnostics.guard_rounds > 0
-    assert viol > 1e-6
-    assert res.diagnostics.violation == viol
-
-
-def test_guard_retries_report_their_residual(large, monkeypatch):
-    # the same hard-braking case: after the guard's retries the reported
-    # inner residual is the last round's of the last retry, the run that
-    # produced the returned plan
-    u0 = np.zeros(4)
-    u0[2:4] = -6.0
-    run_rounds, solve = solver._run_rounds, loop.solve_mpc
-    traces, seen = [], []
+    run_rounds, repair, solve = (solver._run_rounds, solver._repair,
+                                 loop.solve_mpc)
+    traces, repaired, seen = [], [], []
 
     def rounds(*args, **kwargs):
         out = run_rounds(*args, **kwargs)
         traces.append(out[0])
         return out
 
+    def one_pass(agents, plan):
+        repaired.append(plan)
+        return repair(agents, plan)
+
     def step(agents, options=None, state=None):
         res = solve(agents, options, state=state)
-        seen.append((res, traces[-1]))
+        seen.append((res, state, traces[-1]))
         return res
 
     monkeypatch.setattr(solver, "_run_rounds", rounds)
+    monkeypatch.setattr(solver, "_repair", one_pass)
     monkeypatch.setattr(loop, "solve_mpc", step)
-    with pytest.raises(loop.SimulationError):
-        simulate(large, weight_preset("large", 5), Scenario("brake", u0))
-    res, trace = seen[-1]
-    assert res.diagnostics.guard_rounds > 0
+    simulate(large, weight_preset("large", 5), Scenario("brake", u0))
+    assert [res.diagnostics.guard_rounds for res, *_ in seen] == [0, 0, 0, 1]
+    res, state, trace = seen[-1]
+    struct = build_structural(large.n, 5)
+    assert plan_violation(large, state, repaired[0], struct) > 1e-6
+    assert res.diagnostics.feasible
+    assert res.diagnostics.violation == plan_violation(large, state,
+                                                       res.u_plan, struct)
+    assert np.max(np.abs(res.u_plan - repaired[0])) <= 1e-4
     assert res.diagnostics.inner_residual == trace[-1]
+    # the pass sends one message down each link and runs no round
+    d = res.diagnostics
+    rounds = d.lin_rounds + d.warm_rounds + d.inner_iters
+    assert d.messages == 4 * (large.n - 1) * rounds + large.n - 1
+
+
+def test_a_failed_repair_keeps_the_plan(large, monkeypatch):
+    # a repair pass whose projection has no feasible point ends the guard,
+    # and the plan the rounds ended on comes back, flagged infeasible
+    st = PlatoonState(np.array(BRAKE_X), np.array(BRAKE_V), -6.0)
+    w5 = weight_preset("large", 5)
+    unrepaired = solve_mpc(formulate_local(large, w5, st),
+                           SolverConfig(feas_tol=1e-3)).u_plan
+
+    def infeasible(*args, **kwargs):
+        raise QcqpInfeasibleError("no strictly feasible point")
+
+    monkeypatch.setattr(solver, "qcqp_solve", infeasible)
+    res = solve_mpc(formulate_local(large, w5, st))
+    assert res.diagnostics.guard_rounds == 1
+    assert not res.diagnostics.feasible
+    assert np.array_equal(res.u_plan, unrepaired)
 
 
 def test_capped_runs_are_counted(small):
@@ -634,7 +657,7 @@ def test_capped_runs_are_counted(small):
     w3 = weight_preset("small", 3, n=small.n)
     d = solve_mpc(formulate_local(small, w3, st)).diagnostics
     assert d.capped_runs == 0
-    # the warm start's first attempt is capped and passes its guard
+    # the warm start is capped and passes its guard
     d = solve_mpc(formulate_local(small, w3, st),
                   SolverConfig(max_inner=100)).diagnostics
     assert d.lin_rounds == 100
@@ -980,14 +1003,16 @@ def test_convergent_warm_start_stays_off_the_barrier(medium, monkeypatch):
                           agents[0].shared.struct) <= 1e-8
 
 
-# States on which the default (calibrated) scheme breaks recursive
-# feasibility: each is feasible, its leader control keeps the leader in
-# the speed band for the whole horizon, and no feasible plan comes back.
-# The default_rng([11, p]) states are drawn like P5_X, the presets in
-# turn from state 0.
+# States on which the default (calibrated) scheme broke recursive
+# feasibility when its guard retried the rounds at tighter tolerances:
+# each is feasible, its leader control keeps the leader in the speed band
+# for the whole horizon, and no feasible plan came back.  The repair
+# passes of the guard make every plan feasible.  The default_rng([11, p])
+# and default_rng([1, p]) states are drawn like P5_X, the presets in turn
+# from state 0.
 
 # random_feasible_state(large, default_rng(13)) with u0 = -1.0: the plan
-# ends 2.848e-05 outside its rows after 6 guard retries
+# ended 2.848e-05 outside its rows after 6 guard retries
 LARGE_P3_X = [0.0, -73.65056781628351, -130.53073179965247,
               -169.94216637653747, -211.36866963458874, -282.5484391572569,
               -337.7193958706272, -363.7036251808962, -440.59917017484725,
@@ -999,7 +1024,7 @@ LARGE_P3_V = [25.011303510138323, 24.851976200559953, 24.10897263160126,
 LARGE_P3_U0 = -1.0
 
 # state 7 of default_rng([11, 3]) (medium): 1.834e-03 outside its rows
-# after 6 guard retries
+# after 6 guard retries; the p > 1 repair moves the plan by 1.1e-2
 MEDIUM_P3_X = [0.0, -44.624605242988096, -103.02671884105561,
                -145.5477532626869, -204.04560836913595, -272.0808193840407,
                -326.078580202938, -358.31410692048934, -381.35902653570196,
@@ -1022,8 +1047,9 @@ MEDIUM_P5_V = [13.039422788940898, 22.806828963620966, 19.80892059207654,
                13.000994511053864, 14.66575068718091]
 MEDIUM_P5_U0 = 0.0082494659334581
 
-# state 3 of default_rng([11, 5]) (small): the warm start raises
+# state 3 of default_rng([11, 5]) (small): the warm start raised
 # WarmStartError, its plan 2.07e-08 outside the rows against GUARD_TOL 1e-08
+# after 6 retries; one warm-start repair pass mends it
 SMALL_P5_X = [0.0, -51.124815830046906, -88.80851312224962,
               -118.69381225649272, -179.79104779786002, -243.3236980673393,
               -290.5175176469212, -321.3539740736902, -340.4631976257354,
@@ -1035,24 +1061,52 @@ SMALL_P5_V = [25.030445848262005, 24.31903745640031, 15.101773559683444,
 SMALL_P5_U0 = -0.20205565766574463
 
 
-DEFAULT_SCHEME_FAILURES = {
+# states 1, 6 and 7 of default_rng([1, 3]), cold p = 3 steps: states 1
+# and 7 (medium) ended 4.4e-04 and 9.6e-03 outside their rows after 6
+# guard retries; state 6 (small) needs a second p > 1 repair pass
+COLD1_X = [0.0, -54.60510048572034, -106.62761672872928, -137.57921810247166,
+           -189.07075527430803, -234.12993704403888, -291.72748773400707,
+           -348.75052336258165, -373.22282589601156, -399.42057157586737,
+           -460.81636721441845]
+COLD1_V = [18.84077082571814, 19.42258051610535, 19.602538884298568,
+           11.730034420568805, 22.946622645756882, 17.4706551977337,
+           25.51358676836388, 26.703610162843848, 13.070425713713483,
+           14.372296372706566, 24.752452312681875]
+COLD1_U0 = 1.1534126187100209
+COLD6_X = [0.0, -32.26795203400222, -79.61838471562044, -146.77535825345308,
+           -189.71409715851894, -217.75990143321985, -247.38775889741913,
+           -276.74463313825845, -313.96022912265835, -368.1102046696161,
+           -398.25459091049555]
+COLD6_V = [11.74766773685452, 15.600624215746874, 20.97748848392748,
+           26.18143523484155, 24.115053691024166, 14.846291867603139,
+           16.264381315186984, 11.08284703711696, 16.356269539858435,
+           24.667562479566385, 11.396292567084208]
+COLD6_U0 = 0.05351280607036024
+COLD7_X = [0.0, -54.948616263326734, -83.69716494247393, -134.05543705529604,
+           -177.8000419811583, -218.66101549795192, -277.71739627675163,
+           -338.54280634249716, -393.38451465850585, -453.6501891074779,
+           -478.0793283402532]
+COLD7_V = [24.11030276127113, 26.07165685429414, 14.644233709527573,
+           19.883965199782814, 21.08416159989814, 17.271932352264816,
+           24.28592972583285, 24.833698331063548, 26.166772235496452,
+           24.9733086658081, 13.977484484487796]
+COLD7_U0 = 1.1940763415067446
+
+
+FEASIBILITY_CASES = {
     "large-p3": ("large", 3, LARGE_P3_X, LARGE_P3_V, LARGE_P3_U0),
     "medium-p3": ("medium", 3, MEDIUM_P3_X, MEDIUM_P3_V, MEDIUM_P3_U0),
     "medium-p5": ("medium", 5, MEDIUM_P5_X, MEDIUM_P5_V, MEDIUM_P5_U0),
     "small-p5": ("small", 5, SMALL_P5_X, SMALL_P5_V, SMALL_P5_U0),
+    "cold1-medium-p3": ("medium", 3, COLD1_X, COLD1_V, COLD1_U0),
+    "cold6-small-p3": ("small", 3, COLD6_X, COLD6_V, COLD6_U0),
+    "cold7-medium-p3": ("medium", 3, COLD7_X, COLD7_V, COLD7_U0),
 }
 
 
-@pytest.mark.parametrize("case", [
-    pytest.param(case, marks=pytest.mark.xfail(
-        strict=True, raises=raises,
-        reason="the default scheme returns no feasible plan"))
-    for case, raises in (("large-p3", AssertionError),
-                         ("medium-p3", AssertionError),
-                         ("medium-p5", AssertionError),
-                         ("small-p5", WarmStartError))])
+@pytest.mark.parametrize("case", list(FEASIBILITY_CASES))
 def test_default_scheme_returns_a_feasible_plan(case):
-    name, p, x, v, u0 = DEFAULT_SCHEME_FAILURES[case]
+    name, p, x, v, u0 = FEASIBILITY_CASES[case]
     st = PlatoonState(np.array(x), np.array(v), u0)
     res = solve_mpc(formulate_local(platoon_preset(name),
                                     weight_preset(name, p), st))
