@@ -580,12 +580,9 @@ def test_cold_p3_step_stays_off_the_barrier(small, monkeypatch):
                           agents[0].shared.struct) <= SolverConfig().feas_tol
 
 
-def test_repair_of_the_hard_brake_step(large, monkeypatch):
-    # the hard-braking case at p = 5: at step 3 the rounds end outside a
-    # row, and one repair pass down the chain returns a feasible plan
-    # near theirs.  The diagnostics report the guard's own measurement of
-    # the returned plan, and the residual of the last stage, since a
-    # repair runs no rounds
+def _brake_run(large, monkeypatch):
+    # the hard-braking case at p = 5, with each step's result, state and
+    # last residual trace kept, and each plan handed to a repair pass
     u0 = np.zeros(4)
     u0[2:4] = -6.0
     run_rounds, repair, solve = (solver._run_rounds, solver._repair,
@@ -610,15 +607,41 @@ def test_repair_of_the_hard_brake_step(large, monkeypatch):
     monkeypatch.setattr(solver, "_repair", one_pass)
     monkeypatch.setattr(loop, "solve_mpc", step)
     simulate(large, weight_preset("large", 5), Scenario("brake", u0))
+    return seen, repaired
+
+
+def test_reported_violation_after_guard_retries(large, monkeypatch):
+    # the hard-braking case at p = 5 fires the guard at step 3; the
+    # diagnostics report the guard's own measurement of the plan it
+    # returns, the repaired one
+    seen, _ = _brake_run(large, monkeypatch)
+    res, state, _ = seen[-1]
+    assert res.diagnostics.guard_rounds > 0
+    assert res.diagnostics.feasible
+    assert res.diagnostics.violation == plan_violation(
+        large, state, res.u_plan, build_structural(large.n, 5))
+
+
+def test_guard_retries_report_their_residual(large, monkeypatch):
+    # the same step: a repair runs no rounds, so after the guard's passes
+    # the reported inner residual is the last round's of the last stage,
+    # the run that produced the plan the repair started from
+    seen, _ = _brake_run(large, monkeypatch)
+    res, _, trace = seen[-1]
+    assert res.diagnostics.guard_rounds > 0
+    assert res.diagnostics.inner_residual == trace[-1]
+
+
+def test_repair_of_the_hard_brake_step(large, monkeypatch):
+    # the same case: at step 3 the rounds end outside a row, and one
+    # repair pass down the chain returns a feasible plan near theirs
+    seen, repaired = _brake_run(large, monkeypatch)
     assert [res.diagnostics.guard_rounds for res, *_ in seen] == [0, 0, 0, 1]
-    res, state, trace = seen[-1]
+    res, state, _ = seen[-1]
     struct = build_structural(large.n, 5)
     assert plan_violation(large, state, repaired[0], struct) > 1e-6
     assert res.diagnostics.feasible
-    assert res.diagnostics.violation == plan_violation(large, state,
-                                                       res.u_plan, struct)
     assert np.max(np.abs(res.u_plan - repaired[0])) <= 1e-4
-    assert res.diagnostics.inner_residual == trace[-1]
     # the pass sends one message down each link and runs no round
     d = res.diagnostics
     rounds = d.lin_rounds + d.warm_rounds + d.inner_iters
