@@ -36,7 +36,6 @@ class RunSpec:
     leader_csv: str | None = None
     out: str | None = None
     centralized: bool = False
-    seed: int = 0
     overrides: dict = field(default_factory=dict)
 
     def solver_config(self) -> SolverConfig:
@@ -108,7 +107,6 @@ def summarize(record: SimRecord, config: PlatoonConfig, spec: RunSpec) -> dict:
         "scenario": record.scenario,
         "horizon": record.diagnostics[0].p if record.diagnostics else 0,
         "steps": record.steps,
-        "seed": spec.seed,
         "tau": record.tau,
         "n": config.n,
         "max_steady_state_error": float(np.max(np.abs(zss))),
@@ -186,10 +184,10 @@ def run_spec(spec: RunSpec) -> dict:
 
 
 def _spec_from(platoon, scenario, horizon, steps, leader_csv, out,
-               centralized, seed, tol_outer, tol_inner):
+               centralized, tol_outer, tol_inner):
     return RunSpec(platoon=platoon, scenario=scenario, horizon=horizon,
                    steps=steps, leader_csv=leader_csv, out=out,
-                   centralized=centralized, seed=seed,
+                   centralized=centralized,
                    overrides={"tol_outer": tol_outer,
                               "tol_inner": tol_inner})
 
@@ -210,7 +208,6 @@ _shared_options = [
                  help="artifact directory (omit to print the summary only)"),
     click.option("--centralized", is_flag=True,
                  help="also solve every step as one program (horizon 1)"),
-    click.option("--seed", default=0, show_default=True, type=int),
     click.option("--tol-outer", default=None, type=float),
     click.option("--tol-inner", default=None, type=float),
 ]

@@ -10,9 +10,11 @@ equations are linear and one solve of [H B'; B 0] gives the point and its
 multipliers; a set with a curved row is solved by Newton on the same
 equations.  Only when all of these fail does the solve follow a primal
 log-barrier with damped Newton steps, polished by the same active-set
-solve.  Every exit but the last barrier one is checked against the full
-KKT conditions.  The prox operator at the bottom is the building block of
-the operator-splitting rounds in the solver module.
+solve; when no hint is strictly feasible, its start comes from the same
+barrier loop run on the epigraph problem (phase I).  Every exit but the
+last barrier one is checked against the full KKT conditions.  The prox
+operator at the bottom is the building block of the operator-splitting
+rounds in the solver module.
 Its unconstrained point is affine in the anchor, so each problem keeps a
 prox map (ConvexQcqp.prox_map) built once per step size rho and metric
 object: on the free path a prox call is one matrix-vector product.  The
@@ -239,8 +241,10 @@ def _newton_barrier(prob: ConvexQcqp, y: np.ndarray, t: float,
 
 def _strictly_feasible_start(prob: ConvexQcqp, y0: np.ndarray | None,
                              margin: float = 1e-7) -> np.ndarray:
-    """Return a point with every constraint strictly negative, running an
-    epigraph phase-I when the hints fail."""
+    """Return a point with every constraint strictly negative, running
+    phase I when the hints fail: the barrier loop of _newton_barrier on
+    the epigraph problem, centred at t = 1, 10, ... until its point is
+    done (_phase_done)."""
     width = prob.hi - prob.lo
     cands = []
     if y0 is not None:
@@ -251,57 +255,27 @@ def _strictly_feasible_start(prob: ConvexQcqp, y0: np.ndarray | None,
         if np.all(prob.con_values(cand) < -1e-9):
             return cand
 
-    # phase I: minimize s subject to g_k(y) <= s inside the box
-    y = cands[-1]
-    s = float(np.max(prob.con_values(y))) + 1.0
+    # phase I (Boyd and Vandenberghe, Convex Optimization, 11.4): the
+    # barrier method on min s s.t. g_k(y) <= s for every row, box rows
+    # included, with y in the box and s in [-max width, s0 + 1]; the box
+    # rows keep s above -max width / 2, so its lower bound only closes
+    # the box
+    y, d, m = cands[-1], prob.dim, prob.n_con
+    s0 = float(np.max(prob.con_values(y))) + 1.0
+    A = np.zeros((m, d + 1, d + 1))
+    A[2 * d:, :d, :d] = prob.A
+    epi = ConvexQcqp(np.zeros((d + 1, d + 1)), np.eye(d + 1)[d],
+                     np.append(prob.lo, -width.max()),
+                     np.append(prob.hi, s0 + 1.0), A,
+                     np.hstack([prob.aff_B, -np.ones((m, 1))]), prob.aff_c)
+    ys = np.append(y, s0)
     t = 1.0
-    for _ in range(40):
-        for _ in range(50):
-            g = prob.con_values(y)
-            slack = s - g
-            box_lo = y - (prob.lo + 1e-12 * width)
-            box_hi = (prob.hi - 1e-12 * width) - y
-            inv = 1.0 / slack
-            grads = prob.con_grads(y)
-            grad_y = grads.T @ inv - 1.0 / box_lo + 1.0 / box_hi
-            grad_s = t - float(np.sum(inv))
-            hess_yy = prob.add_row_hessians(
-                (grads * (inv ** 2)[:, None]).T @ grads
-                + np.diag(1.0 / box_lo ** 2 + 1.0 / box_hi ** 2), inv)
-            hess_ys = -grads.T @ (inv ** 2)
-            hess_ss = float(np.sum(inv ** 2))
-            kkt = np.block([[hess_yy, hess_ys[:, None]],
-                            [hess_ys[None, :], np.array([[hess_ss]])]])
-            rhs = -np.concatenate([grad_y, [grad_s]])
-            try:
-                step = np.linalg.solve(kkt + 1e-12 * np.eye(prob.dim + 1),
-                                       rhs)
-            except np.linalg.LinAlgError:
-                break
-            dec = float(rhs @ step)
-            if dec <= 1e-14 * (1.0 + abs(s)):
-                break
-            alpha = 1.0
-            ok = False
-            for _ in range(60):
-                yc = y + alpha * step[:-1]
-                sc = s + alpha * step[-1]
-                if (np.all(yc > prob.lo + 1e-12 * width)
-                        and np.all(yc < prob.hi - 1e-12 * width)
-                        and np.all(prob.con_values(yc) < sc)):
-                    y, s = yc, sc
-                    ok = True
-                    break
-                alpha *= 0.5
-            if not ok:
-                break
-            if _phase_done(prob, y, margin):
-                return y
-        if _phase_done(prob, y, margin):
-            return y
+    while t <= 1e12:
+        ys = _newton_barrier(epi, ys, t)
+        if _phase_done(prob, ys[:d], margin):
+            return ys[:d]
         t *= 10.0
-        if t > 1e12:
-            break
+    y = ys[:d]
     if _phase_done(prob, y, 1e-12):
         return y
     worst = float(np.max(prob.con_values(y)))

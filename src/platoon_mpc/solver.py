@@ -24,8 +24,9 @@ the warm start come from one evaluation for the whole platoon too, and
 each linearization evaluates every agent's cost share once.  Rows reach
 the QCQP kernel as the stacked arrays they are built as, and the two
 exactly convex stages, the one-step horizon and the loss-free warm start,
-build their problems through one function that differs only in the
-losses it charges.
+run through one routine that differs only in the losses it charges and
+the tolerances it meets, and hands the owners' prox blocks to the guard.
+Every agent applies its prox in every round.
 
 A vehicle's safety rows read its own block and its predecessor's, and
 each agent's prox point meets them against its own copy of the
@@ -80,10 +81,6 @@ LIN_TOL = 1e-5
 GUARD_TOL = 1e-8
 # round tolerance of the box-only warm-up of a calibrated stage
 WARM_TOL = 1e-7
-# an agent whose iterate moves by at most FREEZE_STEP in FREEZE_ROUNDS
-# consecutive outer iterations collapses to its current point
-FREEZE_STEP = 1e-9
-FREEZE_ROUNDS = 2
 # scaling of the curvature bounds of the constraint-row majorants (1.0
 # makes them provably global for the row curvatures at hand, smaller
 # trades margin for speed)
@@ -209,8 +206,6 @@ class AgentState:
     L_J: float = 0.0
     warm: QcqpResult | None = None
     metric: np.ndarray | None = None
-    frozen: bool = False
-    still: int = 0
     prox_calls: int = 0
 
     @property
@@ -399,9 +394,6 @@ def _average(st: SplittingState) -> np.ndarray:
 
 def _agent_prox(a: AgentState, anchor: np.ndarray, olo: np.ndarray,
                 ohi: np.ndarray) -> np.ndarray:
-    if a.frozen:
-        # the agent's set collapsed to its current point
-        return np.zeros_like(anchor)
     a.prox_calls += 1
     rho = RHO if a.metric is None else RHO_METRIC
     if a.problem is None:
@@ -689,6 +681,24 @@ def _guard(agents: list[AgentState], plan: np.ndarray, tol: float,
     return plan, viol
 
 
+def _exact_run(agents: list[AgentState], rows: tuple, e: np.ndarray,
+               tol: float, guard_tol: float, options: SolverConfig,
+               diag: "MpcDiagnostics") -> tuple:
+    """One run of an exactly convex stage, the one-step horizon or the
+    loss-free warm start, on the problems of _exact_problems: the rounds
+    resume from carry_z and run to tol, their end state becomes the next
+    carry_z, a capped run is counted in diag, and the owners' prox blocks
+    go to the guard at guard_tol.  Returns the plan, its violation, the
+    residual trace and whether the rounds converged."""
+    _exact_problems(agents, rows, e)
+    st = _begin_stage(agents, None, seed="carry")
+    trace, conv = _run_rounds(agents, tol, options.max_inner)
+    st.carry_z = st.z.copy()
+    diag.capped_runs += not conv
+    plan, viol = _guard(agents, _collect_prox_plan(st), guard_tol, diag)
+    return plan, viol, trace, conv
+
+
 # ---------------------------------------------------------------------------
 # warm start: loss-free cost over restricted convex sets
 
@@ -696,29 +706,24 @@ def warm_start_linear(agents: list[AgentState],
                       options: SolverConfig | None = None,
                       diag: "MpcDiagnostics | None" = None) -> np.ndarray:
     """First iterate: minimize the loss-free quadratic cost over the inner
-    convex restrictions of the horizon constraints, by splitting rounds.
-    The result is checked against the true rows and repaired if the
-    averaging left a violation behind (see _guard).  The rounds of this
+    convex restrictions of the horizon constraints, by splitting rounds
+    (_exact_run).  The owners' prox blocks are checked against the true
+    rows and repaired if they miss one (see _guard).  The rounds of this
     call, its capped run and its repair passes go to diag when given."""
     options = options or SolverConfig()
     sh, p = agents[0].shared, agents[0].p
     diag = diag or MpcDiagnostics(p=p)
-    rows = _restricted_rows(sh.config, sh.state, sh.struct, p)
-    _exact_problems(agents, rows, np.zeros((sh.config.n, p)))
-    st = _begin_stage(agents, None, seed="carry")
+    st = _splitting(agents)
     rounds0 = st.layout.net.rounds
-    _, conv = _run_rounds(agents, LIN_TOL, options.max_inner)
-    plan, gap = _guard(agents, _collect_plan(st), GUARD_TOL, diag)
+    plan, gap, _, _ = _exact_run(
+        agents, _restricted_rows(sh.config, sh.state, sh.struct, p),
+        np.zeros((sh.config.n, p)), LIN_TOL, GUARD_TOL, options, diag)
     if gap > GUARD_TOL:
         raise WarmStartError(
             f"restricted stage kept violation {gap:.2e} above "
             f"{GUARD_TOL:.0e} after its repair")
     diag.lin_rounds = st.layout.net.rounds - rounds0
-    diag.capped_runs += not conv
-    st.carry_z = st.z.copy()
     st.u_hat = plan.ravel()[st.layout.scatter]
-    for a in agents:
-        a.problem = None
     return plan
 
 
@@ -819,7 +824,6 @@ class MpcDiagnostics:
     # splitting runs that hit max_inner short of their tolerance: the warm
     # start, the stages and the p = 1 run
     capped_runs: int = 0
-    frozen: int = 0
     converged: bool = False
     feasible: bool = False
     wall_time: float = 0.0
@@ -856,20 +860,13 @@ def solve_mpc(agents: list[AgentState],
     rounds0, messages0 = net.rounds, net.messages
     diag = MpcDiagnostics(p=p)
     for a in agents:
-        a.frozen = False
-        a.still = 0
         a.prox_calls = 0
 
     if p == 1:
-        rows = _one_step_rows(sh.config, sh.state, sh.struct)
-        _exact_problems(agents, rows, _losses(sh.config, sh.state)[:, None])
-        _begin_stage(agents, None, seed="carry")
-        trace, conv = _run_rounds(agents, options.outer_tol_for(1),
-                                  options.max_inner)
-        st.carry_z = st.z.copy()
-        plan, viol = _guard(agents, _collect_prox_plan(st),
-                            options.feas_tol, diag)
-        diag.capped_runs += not conv
+        plan, viol, trace, conv = _exact_run(
+            agents, _one_step_rows(sh.config, sh.state, sh.struct),
+            _losses(sh.config, sh.state)[:, None], options.outer_tol_for(1),
+            options.feas_tol, options, diag)
         diag.outer_iters = 1
         diag.inner_residual = diag.outer_step = trace[-1] if trace else np.inf
         diag.converged = conv
@@ -902,16 +899,7 @@ def solve_mpc(agents: list[AgentState],
             diag.inner_residual = trace[-1] if trace else np.inf
             plan = _collect_plan(st)
             u_hat = plan.ravel()[st.layout.scatter]
-            moved = np.abs(u_hat - st.u_hat)
-            starts = [sl.start for sl in st.layout.slices]
-            for a, a_step in zip(agents, np.maximum.reduceat(moved, starts)):
-                if a_step <= FREEZE_STEP:
-                    a.still += 1
-                    if a.still >= FREEZE_ROUNDS:
-                        a.frozen = True
-                else:
-                    a.still = 0
-            step = float(np.max(moved))
+            step = float(np.max(np.abs(u_hat - st.u_hat)))
             scale = float(np.max(np.abs(u_hat)))
             st.u_hat = u_hat
             diag.outer_violation.append(
@@ -933,7 +921,6 @@ def solve_mpc(agents: list[AgentState],
     diag.consensus_gap = _consensus_gap(st)
     diag.prox_calls = sum(a.prox_calls for a in agents)
     diag.messages = net.messages - messages0
-    diag.frozen = sum(a.frozen for a in agents)
     diag.wall_time = time.perf_counter() - t0
     return MpcResult(u_plan=plan, diagnostics=diag)
 

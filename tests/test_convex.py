@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import box_qp_brute, kkt_newton_loop, prox_by_solve, stack_rows
 from platoon_mpc.convex import (
     ConvexQcqp, QcqpInfeasibleError, QcqpResult, _active_set_solve,
-    _affine_set, _finish_active, _kkt_newton, _solve_from, box_prox,
-    kkt_residual, qcqp_prox, qcqp_solve,
+    _affine_set, _finish_active, _kkt_newton, _solve_from,
+    _strictly_feasible_start, box_prox, kkt_residual, qcqp_prox, qcqp_solve,
 )
 
 
@@ -411,6 +411,62 @@ def test_solve_ends_at_a_kkt_point_on_the_barrier_reproducer():
     for shifted in barrier_reproducer_problems():
         res = qcqp_solve(shifted)
         assert kkt_residual(shifted, res.y, res.lam) <= 1e-9
+
+
+def with_row(prob, row, center=None, rng=None):
+    """prob's constraint set with one more row, (A, b, c).  With a center,
+    the other rows are first moved to hold there with a slack drawn from
+    [0.5, 3]."""
+    rows = list(zip(prob.A, prob.b, prob.c))
+    if center is not None:
+        rows = [(A, b, -(0.5 * center @ (A @ center) + b @ center)
+                 - rng.uniform(0.5, 3.0)) for A, b, _ in rows]
+    return ConvexQcqp(prob.H, prob.q, prob.lo, prob.hi,
+                      *stack_rows(rows + [row], prob.dim))
+
+
+def sliver_problem(rng):
+    """A random problem whose feasible set is a sliver of the box: a steep
+    affine row keeps y[0] within slack * width of its upper bound, slack
+    drawn from 1e-9 to 1e-5 on a log scale, and every other row holds in
+    the middle of the sliver with a slack of 0.5 to 3."""
+    prob, center = random_feasible_qcqp(rng, int(rng.integers(2, 7)))
+    slack = 10.0 ** rng.uniform(-9.0, -5.0)
+    width = prob.hi[0] - prob.lo[0]
+    center[0] = prob.hi[0] - 0.5 * slack * width
+    b = np.zeros(prob.dim)
+    b[0] = -1.0 / slack
+    return with_row(prob, (np.zeros((prob.dim, prob.dim)), b,
+                           (prob.hi[0] - slack * width) / slack),
+                    center, rng)
+
+
+def infeasible_problem(rng):
+    """A random problem with one more affine row whose least value over
+    the box is positive, between 1e-6 and 1."""
+    prob, _ = random_feasible_qcqp(rng, int(rng.integers(2, 7)))
+    b = rng.normal(size=prob.dim)
+    least = np.where(b > 0.0, prob.lo, prob.hi) @ b
+    return with_row(prob, (np.zeros((prob.dim, prob.dim)), b,
+                           -least + 10.0 ** rng.uniform(-6.0, 0.0)))
+
+
+def test_phase_one_finds_a_strictly_feasible_point():
+    # the reproducer's problems whose box midpoint is not strictly
+    # feasible, and slivers, so no hint holds and phase I runs: its point
+    # is strictly inside the box and clears every other row by the margin
+    rng = np.random.default_rng(5)
+    probs = [prob for prob in barrier_reproducer_problems() if not np.all(
+        prob.con_values(0.5 * (prob.lo + prob.hi)) < -1e-9)]
+    assert len(probs) == 68
+    probs += [sliver_problem(rng) for _ in range(60)]
+    for prob in probs:
+        g = prob.con_values(_strictly_feasible_start(prob, None))
+        assert np.all(g < 0.0)
+        assert np.all(g[2 * prob.dim:] < -1e-7)
+    for _ in range(20):
+        with pytest.raises(QcqpInfeasibleError):
+            _strictly_feasible_start(infeasible_problem(rng), None)
 
 
 # The prox problem of a middle vehicle on a p1-cold step (benchmark seed

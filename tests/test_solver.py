@@ -1,8 +1,8 @@
 """Splitting solver: fabric locality and message counts, the consensus
 average, determinism, stagewise feasibility, the repair passes of the
 feasibility guard, agreement with the centralized references, validity
-of the majorant rows, capped-run counts, and the freeze heuristic at
-steady cruise."""
+of the majorant rows, capped-run counts, and convergence at steady
+cruise."""
 
 from dataclasses import replace
 
@@ -26,8 +26,8 @@ from platoon_mpc.platoon import (GRAVITY, PlatoonState,
                                  random_feasible_state)
 from platoon_mpc.presets import platoon_preset, weight_preset
 from platoon_mpc.solver import (
-    INNER_TOL, LIP_FACTOR, NU, OUTER_TOL, LocalExchange, LocalityError,
-    MpcDiagnostics, SolverConfig, _average, _begin_stage,
+    GUARD_TOL, INNER_TOL, LIP_FACTOR, NU, OUTER_TOL, LocalExchange,
+    LocalityError, MpcDiagnostics, SolverConfig, _average, _begin_stage,
     _block_metric, _consensus_gap, _exact_problems, _losses, _one_step_rows,
     _place, _restricted_rows, _run_rounds, _splitting, _stationarity,
     dr_round, formulate_local, plan_violation, scp_step,
@@ -246,6 +246,21 @@ def test_warm_start_matches_centralized_restricted(small):
     assert plan_violation(small, st, plan, sh.struct) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_warm_start_owner_blocks_need_no_repair(large, seed):
+    # cold p = 3 states whose consensus average sits outside the restricted
+    # rows: the owners' prox blocks, which meet each owner's rows, pass the
+    # warm start's guard without a repair pass
+    st = random_feasible_state(large, np.random.default_rng(seed))
+    st.u0 = -1.0
+    agents = formulate_local(large, weight_preset("large", 3), st)
+    diag = MpcDiagnostics(p=3)
+    plan = warm_start_linear(agents, diag=diag)
+    assert diag.guard_rounds == 0
+    assert plan_violation(large, st, plan,
+                          agents[0].shared.struct) <= GUARD_TOL
+
+
 def test_loss_free_terminates_fast_and_matches(small):
     # without losses the dynamics are linear, the horizon problem is the
     # convex one, and a single relinearization is already stationary
@@ -369,12 +384,11 @@ def test_one_step_unconstrained_matches_closed_form(small):
 @pytest.mark.parametrize("name", ["small", "medium"])
 @pytest.mark.parametrize("p", [1, 3])
 def test_every_round_sends_four_messages_per_link(name, p):
-    # with no agent frozen, a round averages every shared block at its
-    # owner: one message out and one back per copy, two copies per link
+    # a round averages every shared block at its owner: one message out
+    # and one back per copy, two copies per link
     cfg = platoon_preset(name)
     st = cruise_state(cfg, u0=-2.0)
     d = solve_mpc(formulate_local(cfg, weight_preset(name, p), st)).diagnostics
-    assert d.frozen == 0
     assert d.prox_calls > 0
     assert d.messages * cfg.n == 4 * (cfg.n - 1) * d.prox_calls
 
@@ -385,8 +399,7 @@ def test_step_counters_do_not_leak_across_steps(small, monkeypatch, p,
                                                 scheme):
     # one fabric serves the agent graph for the whole closed loop; every
     # step reports its own rounds, counted here at dr_round, and four
-    # messages per link and round, frozen agents included, plus one per
-    # link and repair pass
+    # messages per link and round, plus one per link and repair pass
     calls = []
     one_round = solver.dr_round
 
@@ -420,8 +433,6 @@ def test_step_counters_do_not_leak_across_steps(small, monkeypatch, p,
         total = d.lin_rounds + d.warm_rounds + d.inner_iters
         assert total == rounds > 0
         assert d.messages == (small.n - 1) * (4 * total + d.guard_rounds)
-    if scheme == "calibrated":
-        assert any(d.frozen for d in rec.diagnostics)
 
 
 def cold_states(config, rng, count):
@@ -550,31 +561,22 @@ def test_cold_p3_step_stays_off_the_barrier(small, monkeypatch):
     # m/s^2) at p = 3 on the default scheme: dozens of its prox problems
     # are not solved by the warm polish, and a barrier exit is neither a
     # KKT point (see test_barrier_exit_is_a_kkt_point) nor cheap, so the
-    # active-set search must solve each of them, and each projection of
-    # the warm start's repair pass
+    # active-set search must solve each of them
     st = next(cold_states(small, np.random.default_rng(3), 1))
     assert st.u0 == pytest.approx(1.3114318140738135, abs=1e-12)
-    statuses, solved = [], []
-    qcqp_prox, qcqp_solve = solver.qcqp_prox, solver.qcqp_solve
+    statuses = []
+    qcqp_prox = solver.qcqp_prox
 
     def prox(*args, **kwargs):
         res = qcqp_prox(*args, **kwargs)
         statuses.append(res.status)
         return res
 
-    def solve(*args, **kwargs):
-        res = qcqp_solve(*args, **kwargs)
-        solved.append(res.status)
-        return res
-
     monkeypatch.setattr(solver, "qcqp_prox", prox)
-    monkeypatch.setattr(solver, "qcqp_solve", solve)
     agents = formulate_local(small, weight_preset("small", 3), st)
     res = solve_mpc(agents, state=st)
     assert statuses.count("active") > 50
-    assert res.diagnostics.guard_rounds > 0
-    assert len(solved) == small.n * res.diagnostics.guard_rounds
-    assert "barrier" not in statuses + solved
+    assert "barrier" not in statuses
     assert res.diagnostics.feasible
     assert plan_violation(small, st, res.u_plan,
                           agents[0].shared.struct) <= SolverConfig().feas_tol
@@ -634,9 +636,21 @@ def test_guard_retries_report_their_residual(large, monkeypatch):
 
 def test_repair_of_the_hard_brake_step(large, monkeypatch):
     # the same case: at step 3 the rounds end outside a row, and one
-    # repair pass down the chain returns a feasible plan near theirs
+    # repair pass down the chain returns a feasible plan near theirs; each
+    # of its n projections is solved off the barrier path
+    solved = []
+    qcqp_solve = solver.qcqp_solve
+
+    def solve(*args, **kwargs):
+        res = qcqp_solve(*args, **kwargs)
+        solved.append(res.status)
+        return res
+
+    monkeypatch.setattr(solver, "qcqp_solve", solve)
     seen, repaired = _brake_run(large, monkeypatch)
     assert [res.diagnostics.guard_rounds for res, *_ in seen] == [0, 0, 0, 1]
+    assert len(solved) == large.n
+    assert "barrier" not in solved
     res, state, _ = seen[-1]
     struct = build_structural(large.n, 5)
     assert plan_violation(large, state, repaired[0], struct) > 1e-6
@@ -745,14 +759,13 @@ def test_every_outer_iterate_feasible(small):
     assert res.diagnostics.violation <= 1e-6
 
 
-def test_cruise_freezes_agents(small):
+def test_cruise_step_converges_to_a_fixed_point(small):
     p = 3
     w = weight_preset("small", p, n=small.n)
     agents = formulate_local(small, w, cruise_state(small))
     res = solve_mpc(agents)
     d = res.diagnostics
     assert d.converged
-    assert d.frozen >= 1
     assert d.stationarity <= 1e-4
     assert d.consensus_gap <= 1e-4
     assert d.feasible
@@ -769,13 +782,13 @@ def test_outer_cap_returns_flagged_iterate(small):
     assert res.diagnostics.feasible
 
 
-def test_refreeze_on_new_state_resets(small):
-    # a second call with a fresh state must not inherit frozen agents
+def test_new_state_moves_the_plan_to_its_cold_solve(small):
+    # a second call with a fresh state leaves the first state's plan and
+    # lands near the plan of fresh agents
     p = 2
     w = weight_preset("small", p, n=small.n)
     agents = formulate_local(small, w, cruise_state(small))
     first = solve_mpc(agents)
-    assert first.diagnostics.frozen >= 1
     st = offset_state(small, dx=0.8, dv=0.6)
     res = solve_mpc(agents, state=st)
     assert res.diagnostics.feasible
